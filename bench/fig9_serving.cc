@@ -57,28 +57,6 @@ double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-bool identical(const serve::ServeResult& a, const serve::ServeResult& b) {
-  const auto& ta = a.totals;
-  const auto& tb = b.totals;
-  return ta.requests == tb.requests && ta.deadline_hits == tb.deadline_hits &&
-         ta.late == tb.late && ta.unserved == tb.unserved &&
-         ta.compute_rejects == tb.compute_rejects &&
-         ta.cloud_served == tb.cloud_served &&
-         ta.edge_hits == tb.edge_hits && ta.cloud_fetches == tb.cloud_fetches &&
-         ta.merged_fetches == tb.merged_fetches && ta.cloud_bytes == tb.cloud_bytes &&
-         ta.cache_evictions == tb.cache_evictions &&
-         ta.download_sum_s == tb.download_sum_s &&
-         ta.busy_time_s == tb.busy_time_s && ta.flow_time_s == tb.flow_time_s &&
-         ta.failovers == tb.failovers && ta.failed_over == tb.failed_over &&
-         ta.aborted == tb.aborted && ta.outages == tb.outages &&
-         ta.recoveries == tb.recoveries && ta.rewarms == tb.rewarms &&
-         ta.rewarm_time_s == tb.rewarm_time_s &&
-         ta.window_requests == tb.window_requests &&
-         ta.window_hits == tb.window_hits &&
-         a.p50_download_s == b.p50_download_s && a.p95_download_s == b.p95_download_s &&
-         a.p99_download_s == b.p99_download_s;
-}
-
 /// Minimum per-window deadline-hit ratio of a time-sliced replay — the
 /// depth of the worst degradation trough the outage storm carves.
 double worst_window_hit_ratio(const serve::ServeMetrics& totals) {
@@ -231,7 +209,7 @@ int main(int argc, char** argv) {
           serve::simulate_serving(scenario.topology, scenario.library,
                                   scenario.requests, placement, serving,
                                   support::Rng(7));
-      if (!identical(threaded, serial)) {
+      if (threaded != serial) {
         std::cerr << "FAIL: serving metrics differ between threads=5 and "
                   << "threads=1 — the sharded event loop broke bit-identity\n";
         failed = true;
@@ -452,7 +430,7 @@ int main(int argc, char** argv) {
           serve::simulate_serving(scenario.topology, scenario.library,
                                   scenario.requests, placement, serving,
                                   support::Rng(7));
-      if (!identical(threaded, serial)) {
+      if (threaded != serial) {
         std::cerr << "FAIL: faulty serving metrics differ between threads=5 "
                   << "and threads=1 — fault injection broke bit-identity\n";
         failed = true;

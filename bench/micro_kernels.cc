@@ -181,37 +181,28 @@ void BM_SpecScalingInLibrary(benchmark::State& state) {
 }
 BENCHMARK(BM_SpecScalingInLibrary)->Arg(30)->Arg(90)->Arg(180)->Arg(300)->Complexity();
 
-// A/B/C of the fading inner loops on one arena: the pre-lowering scalar
-// reference (placement bitset chased per link per row per realization), the
-// batched scalar kernel (cached placement lowering + SoA transform +
-// holder-list min-reductions) and the SIMD kernel (counter-based
-// lane-parallel gains + vectorized transform + vector min-reductions through
-// the runtime-dispatched backend). First arg = arena scale (0 = the shared
-// ~50-link scenario, 1 = the ~1000-link scenario), second = kernel
-// (0 = scalar reference, 1 = batched, 2 = simd). 100 realizations each.
-// main() below derives the hardware-independent fading_simd_speedup_*
-// records (batched wall over simd wall) from the /1 vs /2 rows.
+// The fading kernel on one arena, scalar backend vs the runtime-dispatched
+// one. First arg = arena scale (0 = the shared ~50-link scenario, 1 = the
+// ~1000-link scenario), second = backend (0 = forced scalar, 1 = active —
+// avx2/neon where available, else scalar again). 100 realizations each.
+// main() below derives the hardware-independent fading_vector_speedup_*
+// records (scalar wall over active wall) from the /0 vs /1 rows.
 void BM_FadingKernel(benchmark::State& state) {
+  namespace simd = support::simd;
   const auto& scenario = state.range(0) == 0 ? shared_scenario() : big_scenario();
   const core::PlacementProblem problem = scenario.problem();
   const auto placement = core::trimcaching_gen(problem).placement;
   const sim::EvalPlan plan(scenario.topology, scenario.library, scenario.requests);
   const support::Rng rng(5);
-  const auto kernel = state.range(1) == 0   ? sim::FadingKernel::kScalarReference
-                      : state.range(1) == 1 ? sim::FadingKernel::kBatched
-                                            : sim::FadingKernel::kSimd;
+  if (state.range(1) == 0) simd::force_backend(simd::Backend::kScalar);
+  state.SetLabel(simd::backend_name(simd::active_backend()));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(plan.fading_hit_ratio(placement, 100, rng, 1, kernel));
+    benchmark::DoNotOptimize(plan.fading_hit_ratio(placement, 100, rng, 1));
   }
+  simd::clear_forced_backend();
   state.counters["links"] = static_cast<double>(plan.num_links());
 }
-BENCHMARK(BM_FadingKernel)
-    ->Args({0, 0})
-    ->Args({0, 1})
-    ->Args({0, 2})
-    ->Args({1, 0})
-    ->Args({1, 1})
-    ->Args({1, 2});
+BENCHMARK(BM_FadingKernel)->Args({0, 0})->Args({0, 1})->Args({1, 0})->Args({1, 1});
 
 // The raw counter-based Rayleigh batch (support/simd.h rayleigh_gains):
 // scalar backend vs the runtime-dispatched one. First arg = batch length,
@@ -237,7 +228,7 @@ void BM_RayleighBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_RayleighBatch)->Args({1000, 0})->Args({1000, 1});
 
-// The min-reduction half of hit_ratio_lowered in isolation: per-user span
+// The min-reductions of the fading hit pass in isolation: per-user span
 // mins plus gathered holder mins over a synthetic inverse-rate array shaped
 // like the big arena (spans of 12 links, rows gathering 6 holder links).
 // Args as BM_RayleighBatch: {array length, backend (0 = scalar, 1 = active)}.
@@ -390,18 +381,19 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
 
-  // Derived hardware-independent ratios: SIMD fading kernel over the batched
-  // scalar kernel on the same arena, carried in speedup_vs_serial so the CI
-  // ratio gate (bench_diff metric=speedup min_ratio=2) can pin the >= 2x
-  // contract. Only emitted when the source rows ran (benchmark_filter).
+  // Derived hardware-independent ratios: the fading kernel on the scalar
+  // backend over the active one on the same arena, carried in
+  // speedup_vs_serial so the CI ratio gate (bench_diff metric=speedup
+  // min_ratio=) can pin the vector backend's floor. Only emitted when the
+  // source rows ran (benchmark_filter).
   struct RatioSpec {
     const char* name;
-    const char* batched;
-    const char* simd;
+    const char* scalar;
+    const char* active;
   };
   constexpr RatioSpec kRatios[] = {
-      {"fading_simd_speedup_100", "BM_FadingKernel/0/1", "BM_FadingKernel/0/2"},
-      {"fading_simd_speedup_1000", "BM_FadingKernel/1/1", "BM_FadingKernel/1/2"},
+      {"fading_vector_speedup_100", "BM_FadingKernel/0/0", "BM_FadingKernel/0/1"},
+      {"fading_vector_speedup_1000", "BM_FadingKernel/1/0", "BM_FadingKernel/1/1"},
   };
   const auto wall_of = [&reporter](const char* name) -> double {
     for (const auto& record : reporter.records) {
@@ -410,15 +402,15 @@ int main(int argc, char** argv) {
     return 0.0;
   };
   for (const RatioSpec& spec : kRatios) {
-    const double batched = wall_of(spec.batched);
-    const double simd = wall_of(spec.simd);
-    if (batched <= 0 || simd <= 0) continue;
+    const double scalar = wall_of(spec.scalar);
+    const double active = wall_of(spec.active);
+    if (scalar <= 0 || active <= 0) continue;
     trimcaching::bench::JsonRecord record;
     record.name = spec.name;
-    record.wall_seconds = simd;
-    record.throughput = 1.0 / simd;
+    record.wall_seconds = active;
+    record.throughput = 1.0 / active;
     record.threads = 1;
-    record.speedup_vs_serial = batched / simd;
+    record.speedup_vs_serial = scalar / active;
     reporter.records.push_back(std::move(record));
   }
 

@@ -58,6 +58,14 @@ struct Request {
   std::uint64_t seq = 0;  ///< global issue order; sort tie-break
 };
 
+/// A stage-1 routing decision: the serving server (kInvalidId = none), the
+/// spectral efficiency of its link, and whether it holds the model warm.
+struct RoutePick {
+  ServerId server = kInvalidId;
+  double se = 0.0;
+  bool direct = false;
+};
+
 struct Flow {
   double request_time = 0.0;
   double budget_s = 0.0;      ///< deadline minus inference latency
@@ -619,127 +627,69 @@ ServeResult simulate_serving(const wireless::NetworkTopology& topology,
       request.user = k;
       request.model = i;
       request.seq = seq;
-      ServerId serve = kInvalidId;
-      double best_se = 0.0;
-      const auto link_se = [&](std::size_t l) {
-        return config.average_channel ? mean_se[l] : std::log2(1.0 + snr[l] * gain);
-      };
-      if (faults != nullptr) {
-        // Fault-oblivious primary pick (what the fault-free engine would
-        // route to) — consulted only to count failovers, never to route.
-        ServerId primary = kInvalidId;
-        double primary_se = 0.0;
-        const auto scan_primary = [&](bool warm_only) {
-          for (std::size_t l = begin; l < end; ++l) {
-            if (warm_only && !warm_holds(covering[l], i)) continue;
-            const double se = link_se(l);
-            if (se > primary_se) {
-              primary_se = se;
-              primary = covering[l];
-            }
-          }
-        };
-        scan_primary(true);
-        if (primary == kInvalidId && (reactive || relayable[i] != 0)) {
-          scan_primary(false);
-        }
-
-        // Fault-aware routing mirrors the fault-free priority structure, but
-        // only servers up at the arrival qualify and each link's SE is
-        // degraded by the schedule's per-server factor.
-        const auto degraded_se = [&](std::size_t l) {
-          return std::log2(1.0 + snr[l] * gain * faults->snr_factor(covering[l], t));
-        };
-        const auto scan_up = [&](bool warm_only) {
+      // The routing rule, one scan shared by every path: the covering warm
+      // holder of i with the best spectral efficiency (a direct hit), else
+      // the best covering server outright — for a reactive cache always (the
+      // replay resolves the miss there and admits the model:
+      // cache-on-relay), for a static one only when a warm holder can source
+      // a relay over the backhaul. A reactive cache thus never routes worse
+      // than the placement it started from. Only servers `up` admits
+      // qualify; `se` rates link l; `relay_source` is asked lazily.
+      const auto route = [&](const auto& up, const auto& se,
+                             const auto& relay_source) {
+        RoutePick pick;
+        const auto scan = [&](bool warm_only) {
           for (std::size_t l = begin; l < end; ++l) {
             const ServerId m = covering[l];
             if (warm_only && !warm_holds(m, i)) continue;
-            if (!faults->is_up(m, t)) continue;
-            const double se = degraded_se(l);
-            if (se > best_se) {
-              best_se = se;
-              serve = m;
+            if (!up(m)) continue;
+            const double link = se(l);
+            if (link > pick.se) {
+              pick.se = link;
+              pick.server = m;
             }
           }
         };
-        scan_up(true);
-        if (serve != kInvalidId) {
-          if (!reactive) request.route = Route::kDirect;
-        } else if (reactive) {
-          scan_up(false);
-        } else {
-          // A static relay needs a *surviving* warm holder to source it; all
-          // holders down means the request is unserved outright (a static
-          // cache never degrades to the cloud).
-          bool source_up = false;
-          for (const ServerId holder : warm_holders[i]) {
-            if (faults->is_up(holder, t)) {
-              source_up = true;
-              break;
-            }
-          }
-          if (source_up) {
-            scan_up(false);
-            request.route = Route::kRelay;
-          }
-        }
-        if (primary != kInvalidId && serve != kInvalidId &&
-            !faults->is_up(primary, t)) {
-          ++generation.failovers;  // routed around a down primary
-        }
-      } else if (reactive) {
-        // Mirror the static delivery rule against the *warm* cache state
-        // first — a reactive cache must never route worse than the placement
-        // it started from. Models without a covering warm holder go to the
-        // best covering server outright; the replay resolves the miss there
-        // (backhaul pull from a warm holder when one exists, cloud fetch
-        // when none does) and admits the model: cache-on-relay.
-        for (std::size_t l = begin; l < end; ++l) {
-          if (!warm_holds(covering[l], i)) continue;
-          const double se = link_se(l);
-          if (se > best_se) {
-            best_se = se;
-            serve = covering[l];
-          }
-        }
-        if (serve == kInvalidId) {
-          for (std::size_t l = begin; l < end; ++l) {
-            const double se = link_se(l);
-            if (se > best_se) {
-              best_se = se;
-              serve = covering[l];
-            }
-          }
-        }
-      } else {
-        // Paper delivery: best covering server whose cache fully contains
-        // the model, else relay from a holder over the backhaul.
-        for (std::size_t l = begin; l < end; ++l) {
-          if (!warm_holds(covering[l], i)) continue;
-          const double se = link_se(l);
-          if (se > best_se) {
-            best_se = se;
-            serve = covering[l];
-          }
-        }
-        request.route = Route::kDirect;
-        if (serve == kInvalidId && relayable[i] != 0) {
-          for (std::size_t l = begin; l < end; ++l) {
-            const double se = link_se(l);
-            if (se > best_se) {
-              best_se = se;
-              serve = covering[l];
-            }
-          }
-          request.route = Route::kRelay;
+        scan(true);
+        pick.direct = pick.server != kInvalidId;
+        if (!pick.direct && (reactive || relay_source())) scan(false);
+        return pick;
+      };
+      const RoutePick nominal = route(
+          [](ServerId) { return true; },
+          [&](std::size_t l) {
+            return config.average_channel ? mean_se[l]
+                                          : std::log2(1.0 + snr[l] * gain);
+          },
+          [&] { return relayable[i] != 0; });
+      RoutePick pick = nominal;
+      if (faults != nullptr) {
+        // Fault-aware routing: only servers up at the arrival qualify, each
+        // link's SE is degraded by the schedule's per-server factor, and a
+        // static relay needs a *surviving* warm holder to source it (all
+        // holders down means the request is unserved outright — a static
+        // cache never degrades to the cloud). The fault-free pick is the
+        // primary: routing around it while it is down counts a failover.
+        const auto is_up = [&](ServerId m) { return faults->is_up(m, t); };
+        const auto degraded_se = [&](std::size_t l) {
+          return std::log2(1.0 + snr[l] * gain * faults->snr_factor(covering[l], t));
+        };
+        const std::vector<ServerId>& holders = warm_holders[i];
+        pick = route(is_up, degraded_se, [&] {
+          return std::any_of(holders.begin(), holders.end(), is_up);
+        });
+        if (nominal.server != kInvalidId && pick.server != kInvalidId &&
+            !is_up(nominal.server)) {
+          ++generation.failovers;
         }
       }
-      if (serve == kInvalidId || best_se <= 0.0) {
+      if (!reactive) request.route = pick.direct ? Route::kDirect : Route::kRelay;
+      if (pick.server == kInvalidId) {
         ++generation.unserved;
         continue;
       }
-      request.spectral_efficiency = best_se;
-      buckets[serve].push_back(request);
+      request.spectral_efficiency = pick.se;
+      buckets[pick.server].push_back(request);
     }
   }
 

@@ -120,6 +120,9 @@ struct ServeResult {
   double served_rps = 0.0;        ///< completed downloads / duration
   double mean_rewarm_s = 0.0;     ///< mean recovery -> re-warm transient
                                   ///< (0 when no re-warm completed)
+
+  /// Every field, exactly (see ServeMetrics::operator==).
+  [[nodiscard]] bool operator==(const ServeResult&) const = default;
 };
 
 /// Replays `config.duration_s` seconds of Poisson traffic against the

@@ -36,6 +36,9 @@ class LatencyHistogram {
   /// Returns 0 when the histogram is empty.
   [[nodiscard]] double quantile(double q) const;
 
+  /// Every bin, exactly.
+  [[nodiscard]] bool operator==(const LatencyHistogram&) const = default;
+
  private:
   std::array<std::uint64_t, kBins + 2> counts_{};  // [under | bins | over]
   std::uint64_t total_ = 0;
@@ -110,6 +113,11 @@ struct ServeMetrics {
   /// Folds `other` into this. Addition only, so reducing shards in a fixed
   /// order yields bit-identical totals for any thread count.
   void merge(const ServeMetrics& other);
+
+  /// Every field, exactly (doubles compared with ==, histogram bin by bin):
+  /// the comparison the thread-identity and inert-schedule contracts are
+  /// stated in.
+  [[nodiscard]] bool operator==(const ServeMetrics&) const = default;
 };
 
 }  // namespace trimcaching::serve

@@ -1,7 +1,6 @@
 #include "src/sim/eval_plan.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <stdexcept>
 
@@ -169,93 +168,45 @@ void EvalPlan::check_placement(const core::PlacementSolution& placement) const {
   }
 }
 
-double EvalPlan::hit_ratio(const core::PlacementSolution& placement,
-                           const double* inv_rate) const {
-  double hit_mass = 0.0;
-  for (UserId k = 0; k < num_users_; ++k) {
-    const std::size_t link_begin = link_offsets_[k];
-    const std::size_t link_end = link_offsets_[k + 1];
-    double best_inv = kInf;
-    for (std::size_t l = link_begin; l < link_end; ++l) {
-      best_inv = std::min(best_inv, inv_rate[l]);
-    }
-    for (std::size_t r = row_offsets_[k]; r < row_offsets_[k + 1]; ++r) {
-      const Row& row = rows_[r];
-      const std::size_t num_holders = placement.holders_of(row.model).size();
-      if (num_holders == 0) continue;
-      // Direct download from a covering holder (Eq. 4).
-      bool hit = false;
-      std::size_t covering_holders = 0;
-      for (std::size_t l = link_begin; l < link_end; ++l) {
-        if (!placement.placed(link_server_[l], row.model)) continue;
-        ++covering_holders;
-        if (row.payload_bits * inv_rate[l] <= row.budget_s) {
-          hit = true;
-          break;
-        }
-      }
-      // Relay through the fastest covering server (Eq. 5) — only holders
-      // outside M_k take the backhaul path.
-      if (!hit && num_holders > covering_holders && best_inv < kInf) {
-        const double latency =
-            row.payload_bits / backhaul_bps_ + row.payload_bits * best_inv;
-        hit = latency <= row.budget_s;
-      }
-      if (hit) hit_mass += row.probability;
-    }
-  }
-  return total_mass_ > 0 ? hit_mass / total_mass_ : 0.0;
-}
-
 EvalPlan::PlacementLowering EvalPlan::lower_placement(
     const core::PlacementSolution& placement) const {
   PlacementLowering lowering;
-  const std::size_t rows = rows_.size();
-  lowering.holder_offsets.assign(rows + 1, 0);
-  lowering.relay_eligible.assign(rows, 0);
-  lowering.active.assign(rows, 0);
   lowering.user_offsets.assign(num_users_ + 1, 0);
   for (UserId k = 0; k < num_users_; ++k) {
     const std::size_t link_begin = link_offsets_[k];
     const std::size_t link_end = link_offsets_[k + 1];
     for (std::size_t r = row_offsets_[k]; r < row_offsets_[k + 1]; ++r) {
-      const ModelId model = rows_[r].model;
-      const std::size_t num_holders = placement.holders_of(model).size();
-      if (num_holders > 0) {
-        lowering.active[r] = 1;
-        const std::size_t row_holders = lowering.holder_links.size();
-        std::size_t covering_holders = 0;
-        for (std::size_t l = link_begin; l < link_end; ++l) {
-          if (!placement.placed(link_server_[l], model)) continue;
-          ++covering_holders;
+      const Row& row = rows_[r];
+      const std::size_t num_holders = placement.holders_of(row.model).size();
+      if (num_holders == 0) continue;
+      const std::size_t row_holders = lowering.holder_links.size();
+      for (std::size_t l = link_begin; l < link_end; ++l) {
+        if (placement.placed(link_server_[l], row.model)) {
           lowering.holder_links.push_back(static_cast<std::uint32_t>(l));
         }
-        lowering.relay_eligible[r] = num_holders > covering_holders;
-        // Probe order: fastest average link first, so the kernels' Eq. 4
-        // early-exit usually succeeds on the first load. Both predicates the
-        // kernels compute over this list (exists-within-budget, min) are
-        // order-independent, so reordering cannot change any decision or
-        // bit of the result; ties break on link index for determinism.
-        std::sort(lowering.holder_links.begin() + row_holders,
-                  lowering.holder_links.end(),
-                  [&](std::uint32_t a, std::uint32_t b) {
-                    const double ra = avg_inv_rate_[a];
-                    const double rb = avg_inv_rate_[b];
-                    if (ra != rb) return ra < rb;
-                    return a < b;
-                  });
-        // Compact active-row SoA entry (same arena row order, so the mass
-        // accumulation order — and hence every bit — matches the row view).
-        lowering.payload_bits.push_back(rows_[r].payload_bits);
-        lowering.budget_s.push_back(rows_[r].budget_s);
-        lowering.probability.push_back(rows_[r].probability);
-        lowering.holder_begin.push_back(static_cast<std::uint32_t>(row_holders));
-        lowering.holder_count.push_back(
-            static_cast<std::uint32_t>(lowering.holder_links.size() - row_holders));
-        lowering.relay.push_back(lowering.relay_eligible[r]);
       }
-      lowering.holder_offsets[r + 1] =
-          static_cast<std::uint32_t>(lowering.holder_links.size());
+      const std::size_t covering_holders = lowering.holder_links.size() - row_holders;
+      // Probe order: fastest average link first, so the kernels' Eq. 4
+      // early-exit usually succeeds on the first load. Both predicates the
+      // kernels compute over this list (exists-within-budget, min) are
+      // order-independent, so reordering cannot change any decision or
+      // bit of the result; ties break on link index for determinism.
+      std::sort(lowering.holder_links.begin() + row_holders,
+                lowering.holder_links.end(),
+                [&](std::uint32_t a, std::uint32_t b) {
+                  const double ra = avg_inv_rate_[a];
+                  const double rb = avg_inv_rate_[b];
+                  if (ra != rb) return ra < rb;
+                  return a < b;
+                });
+      // Arena row order: the hit mass accumulates row by row in the plan's
+      // (user, model) order.
+      lowering.payload_bits.push_back(row.payload_bits);
+      lowering.budget_s.push_back(row.budget_s);
+      lowering.probability.push_back(row.probability);
+      lowering.holder_begin.push_back(static_cast<std::uint32_t>(row_holders));
+      lowering.holder_count.push_back(static_cast<std::uint32_t>(covering_holders));
+      lowering.relay.push_back(num_holders > covering_holders);
     }
     lowering.user_offsets[k + 1] =
         static_cast<std::uint32_t>(lowering.payload_bits.size());
@@ -276,54 +227,15 @@ const EvalPlan::PlacementLowering& EvalPlan::lowered(
   return lowering_cache_;
 }
 
-double EvalPlan::hit_ratio_lowered(const PlacementLowering& lowering,
-                                   const double* inv_rate) const {
-  // Same reduction as the scalar kernel, term for term: "exists a covering
-  // holder link within budget" is equivalent to "payload * min holder
-  // inverse-rate <= budget" because multiplication by a positive payload is
-  // monotone under IEEE rounding — so the accumulated mass is bit-identical.
-  double hit_mass = 0.0;
-  for (UserId k = 0; k < num_users_; ++k) {
-    const std::size_t link_begin = link_offsets_[k];
-    const std::size_t link_end = link_offsets_[k + 1];
-    double best_inv = kInf;
-    for (std::size_t l = link_begin; l < link_end; ++l) {
-      best_inv = std::min(best_inv, inv_rate[l]);
-    }
-    for (std::size_t r = row_offsets_[k]; r < row_offsets_[k + 1]; ++r) {
-      if (!lowering.active[r]) continue;
-      const Row& row = rows_[r];
-      double holder_inv = kInf;
-      for (std::uint32_t h = lowering.holder_offsets[r];
-           h < lowering.holder_offsets[r + 1]; ++h) {
-        holder_inv = std::min(holder_inv, inv_rate[lowering.holder_links[h]]);
-      }
-      bool hit = row.payload_bits * holder_inv <= row.budget_s;  // Eq. 4
-      if (!hit && lowering.relay_eligible[r] && best_inv < kInf) {
-        // Relay through the fastest covering server (Eq. 5).
-        const double latency =
-            row.payload_bits / backhaul_bps_ + row.payload_bits * best_inv;
-        hit = latency <= row.budget_s;
-      }
-      if (hit) hit_mass += row.probability;
-    }
-  }
-  return total_mass_ > 0 ? hit_mass / total_mass_ : 0.0;
-}
-
 double EvalPlan::hit_ratio_lowered_simd(const PlacementLowering& lowering,
                                         const double* inv_rate,
                                         const support::simd::Ops& ops) const {
-  // Decision-equivalent to hit_ratio_lowered, tuned for the hot path: the
-  // Eq. 4 scan short-circuits on the first in-budget holder link (under
+  // The Eq. 4 scan short-circuits on the first in-budget holder link (under
   // paper-scale budgets most rows hit on the first probe), and the per-user
   // relay min — needed only once a row actually misses Eq. 4 — is computed
-  // lazily through the backend's span reduction. The equivalence is exact,
-  // not approximate: multiplication by a positive payload is monotone under
-  // IEEE rounding, so "some holder within budget" and "min holder
-  // inverse-rate within budget" are the same predicate, and min_span is
-  // bit-exact vs std::min for the NaN-free fading arrays (simd.h contract).
-  // The accumulated mass is therefore bit-identical across kernels/backends.
+  // lazily through the backend's span reduction. min_span is bit-exact vs
+  // std::min for the NaN-free inverse-rate arrays (simd.h contract), so the
+  // accumulated mass is bit-identical across backends.
   double hit_mass = 0.0;
   for (UserId k = 0; k < num_users_; ++k) {
     const std::size_t link_begin = link_offsets_[k];
@@ -439,7 +351,8 @@ void EvalPlan::hit_ratio_lowered_block4(const PlacementLowering& lowering,
 double EvalPlan::expected_hit_ratio(const core::PlacementSolution& placement) const {
   check_placement(placement);
   if (compute_constrained_) return expected_hit_ratio_joint(placement);
-  return hit_ratio(placement, avg_inv_rate_.data());
+  return hit_ratio_lowered_simd(lowered(placement), avg_inv_rate_.data(),
+                                support::simd::ops());
 }
 
 double EvalPlan::expected_hit_ratio_joint(
@@ -520,8 +433,7 @@ double EvalPlan::expected_hit_ratio_joint(
 support::Summary EvalPlan::fading_hit_ratio(const core::PlacementSolution& placement,
                                             std::size_t realizations,
                                             const support::Rng& rng,
-                                            std::size_t threads,
-                                            FadingKernel kernel) const {
+                                            std::size_t threads) const {
   if (realizations == 0) {
     throw std::invalid_argument("fading_hit_ratio: zero realizations");
   }
@@ -530,104 +442,55 @@ support::Summary EvalPlan::fading_hit_ratio(const core::PlacementSolution& place
   const std::size_t links = num_links();
   std::vector<double> ratios(realizations);
 
-  if (kernel == FadingKernel::kScalarReference) {
-    support::parallel_for(realizations, threads, [&](std::size_t r) {
-      // Per-thread reusable arena scratch: no allocation after warmup, and
-      // bounded — a huge scenario no longer pins its peak in every worker.
-      std::vector<double>& inv_rate =
-          support::this_worker_arena().doubles(kArenaInvRate, links);
-      support::Rng real_rng = rng.at(kFadingStream, r);
-      for (std::size_t l = 0; l < links; ++l) {
-        const double gain = wireless::sample_rayleigh_power_gain(real_rng);
-        const double bw = link_bandwidth_hz_[l];
-        const double rate =
-            bw > 0 ? bw * std::log2(1.0 + link_mean_snr_[l] * gain) : 0.0;
-        inv_rate[l] = rate > 0 ? 1.0 / rate : kInf;
-      }
-      ratios[r] = hit_ratio(placement, inv_rate.data());
-    });
-  } else if (kernel == FadingKernel::kBatched) {
-    // Batched kernel: the cached placement lowering (all the per-link bitset
-    // chasing happens outside the realization loop), then blocks of
-    // realizations over SoA scratch. Phase A fills the gains (the only
-    // sequential part — the counter-based stream is drawn in link order);
-    // phase B is a branch-free gain -> inverse-rate transform the compiler
-    // can pipeline/vectorize (zero-bandwidth links fall out as 1/0 = +inf,
-    // matching the scalar kernel's guards bit for bit); phase C reduces the
-    // pre-lowered holder lists.
-    const PlacementLowering& lowering = lowered(placement);
-    constexpr std::size_t kRealizationBlock = 8;
-    const std::size_t num_blocks =
-        (realizations + kRealizationBlock - 1) / kRealizationBlock;
-    support::parallel_for(num_blocks, threads, [&](std::size_t b) {
-      support::WorkerArena& arena = support::this_worker_arena();
-      std::vector<double>& gains = arena.doubles(kArenaGains, links);
-      std::vector<double>& inv_rate = arena.doubles(kArenaInvRate, links);
-      const std::size_t block_end =
-          std::min(realizations, (b + 1) * kRealizationBlock);
-      for (std::size_t r = b * kRealizationBlock; r < block_end; ++r) {
-        support::Rng real_rng = rng.at(kFadingStream, r);
-        for (std::size_t l = 0; l < links; ++l) {
-          gains[l] = wireless::sample_rayleigh_power_gain(real_rng);
-        }
+  // Three phases per realization, all lane-parallel through the active
+  // backend: gains, the gain -> inverse-rate transform, the hit pass. The
+  // per-realization gain stream is counter-based on
+  // rng.stream_key(kFadingStream, r) — every lane derives its own draw
+  // from (key, link), so generation has no sequential engine to unroll.
+  // Realizations run in blocks of kLaneBlock: each lane's gains and
+  // inverse rates come from the exact per-realization kernels (staged per
+  // lane, then interleaved into the vertical layout), so the blocked hit
+  // pass sees bit-identical inputs and any block/chunk grouping — hence
+  // any thread count — yields identical ratios. Static chunking (not the
+  // dynamic counter) so each worker touches a contiguous realization
+  // range — the partition first_touch_copy used for the link arrays.
+  const PlacementLowering& lowering = lowered(placement);
+  const support::simd::Ops& ops = support::simd::ops();
+  support::parallel_for_chunks(
+      realizations, threads, [&](std::size_t begin, std::size_t end) {
+        support::WorkerArena& arena = support::this_worker_arena();
+        std::vector<double>& gains = arena.doubles(kArenaGains, links);
+        std::vector<double>& inv_rate = arena.doubles(kArenaInvRate, links);
+        std::vector<double>& staging =
+            arena.doubles(kArenaStaging, kLaneBlock * links);
+        std::vector<double>& blocked =
+            arena.doubles(kArenaBlocked, kLaneBlock * links);
         const double* bw = link_bandwidth_hz_.data();
         const double* snr = link_mean_snr_.data();
-        for (std::size_t l = 0; l < links; ++l) {
-          inv_rate[l] = 1.0 / (bw[l] * std::log2(1.0 + snr[l] * gains[l]));
-        }
-        ratios[r] = hit_ratio_lowered(lowering, inv_rate.data());
-      }
-    });
-  } else {
-    // SIMD kernel: same three phases, all lane-parallel through the active
-    // backend. The per-realization gain stream is counter-based on
-    // rng.stream_key(kFadingStream, r) — every lane derives its own draw
-    // from (key, link), so generation has no sequential engine to unroll.
-    // Realizations run in blocks of kLaneBlock: each lane's gains and
-    // inverse rates come from the exact per-realization kernels (staged per
-    // lane, then interleaved into the vertical layout), so the blocked hit
-    // pass sees bit-identical inputs and any block/chunk grouping — hence
-    // any thread count — yields identical ratios. Static chunking (not the
-    // dynamic counter) so each worker touches a contiguous realization
-    // range — the partition first_touch_copy used for the link arrays.
-    const PlacementLowering& lowering = lowered(placement);
-    const support::simd::Ops& ops = support::simd::ops();
-    support::parallel_for_chunks(
-        realizations, threads, [&](std::size_t begin, std::size_t end) {
-          support::WorkerArena& arena = support::this_worker_arena();
-          std::vector<double>& gains = arena.doubles(kArenaGains, links);
-          std::vector<double>& inv_rate = arena.doubles(kArenaInvRate, links);
-          std::vector<double>& staging =
-              arena.doubles(kArenaStaging, kLaneBlock * links);
-          std::vector<double>& blocked =
-              arena.doubles(kArenaBlocked, kLaneBlock * links);
-          const double* bw = link_bandwidth_hz_.data();
-          const double* snr = link_mean_snr_.data();
-          std::size_t r = begin;
-          for (; r + kLaneBlock <= end; r += kLaneBlock) {
-            for (std::size_t j = 0; j < kLaneBlock; ++j) {
-              wireless::sample_rayleigh_power_gains(
-                  rng.stream_key(kFadingStream, r + j), links, gains.data());
-              ops.inv_rate_from_gains(bw, snr, gains.data(), links,
-                                      staging.data() + j * links);
-            }
-            for (std::size_t l = 0; l < links; ++l) {
-              double* dst = blocked.data() + l * kLaneBlock;
-              for (std::size_t j = 0; j < kLaneBlock; ++j) {
-                dst[j] = staging[j * links + l];
-              }
-            }
-            hit_ratio_lowered_block4(lowering, blocked.data(), &ratios[r]);
-          }
-          for (; r < end; ++r) {
+        std::size_t r = begin;
+        for (; r + kLaneBlock <= end; r += kLaneBlock) {
+          for (std::size_t j = 0; j < kLaneBlock; ++j) {
             wireless::sample_rayleigh_power_gains(
-                rng.stream_key(kFadingStream, r), links, gains.data());
+                rng.stream_key(kFadingStream, r + j), links, gains.data());
             ops.inv_rate_from_gains(bw, snr, gains.data(), links,
-                                    inv_rate.data());
-            ratios[r] = hit_ratio_lowered_simd(lowering, inv_rate.data(), ops);
+                                    staging.data() + j * links);
           }
-        });
-  }
+          for (std::size_t l = 0; l < links; ++l) {
+            double* dst = blocked.data() + l * kLaneBlock;
+            for (std::size_t j = 0; j < kLaneBlock; ++j) {
+              dst[j] = staging[j * links + l];
+            }
+          }
+          hit_ratio_lowered_block4(lowering, blocked.data(), &ratios[r]);
+        }
+        for (; r < end; ++r) {
+          wireless::sample_rayleigh_power_gains(
+              rng.stream_key(kFadingStream, r), links, gains.data());
+          ops.inv_rate_from_gains(bw, snr, gains.data(), links,
+                                  inv_rate.data());
+          ratios[r] = hit_ratio_lowered_simd(lowering, inv_rate.data(), ops);
+        }
+      });
 
   // Index-order reduction: identical bits for every thread count.
   support::RunningStats stats;

@@ -17,9 +17,9 @@
 // loops over these arrays with one reusable per-thread inverse-rate scratch
 // buffer — no per-realization allocation.
 //
-// Determinism contract: realization r draws its gains from
-// rng.at(kFadingStream, r), a counter-based stream that depends only on the
-// base Rng's seed — never on call order or thread count. Hence
+// Determinism contract: realization r draws its gains from the key
+// rng.stream_key(kFadingStream, r), which depends only on the base Rng's
+// seed — never on call order or thread count. Hence
 // fading_hit_ratio(threads = N) is bit-identical to threads = 1, and every
 // caller handing the same base Rng to several placements compares them under
 // identical channel draws. Realization means are reduced in index order.
@@ -33,24 +33,21 @@
 // NetworkTopology::last_delta() against its cached plan's revision, falling
 // back to a full rebuild when the delta does not chain.
 //
-// Fading kernels: fading_hit_ratio lowers the placement once (cached across
-// calls, keyed on PlacementSolution::revision()) into flat per-row
-// holder-link lists and then runs a batched, branch-free realization kernel
-// over SoA scratch (gains, then inverse rates, then per-user
-// min-reductions). Three kernels share that structure:
-//
-//   * kSimd (default) — counter-based lane-parallel gain generation plus
-//     vectorized transform and min-reductions through the runtime-dispatched
-//     backend of support/simd.h. Deterministic and thread-count invariant,
-//     but its gain stream is a *different* derivation than the mt19937 draws
-//     of the other two kernels (a sequential engine cannot be lane-split),
-//     and summaries may differ across SIMD backends by transcendental
-//     rounding only (see simd.h's contract). The min-reductions and the hit
-//     decision are bit-exact across backends.
-//   * kBatched — the scalar SoA kernel, bit-identical to kScalarReference;
-//     the cross-machine bit-stability reference.
-//   * kScalarReference — the pre-lowering per-link scalar loop (A/B
-//     benchmarks and equivalence tests).
+// Hit test: expected_hit_ratio (Eq. 2, storage-only) and fading_hit_ratio
+// share one kernel. The placement is lowered once (cached across calls,
+// keyed on PlacementSolution::revision()) into a compact user-major SoA of
+// the active request rows with their covering holder-link lists, and Eq. 4/5
+// is decided per row over one per-link inverse-rate array: the average
+// rates for Eq. 2, one realization's rates for fading. Fading derives each
+// link's gain from (realization key, link) alone, so links fill
+// lane-parallel and the integer stream is identical on every SIMD backend;
+// the gain -> inverse-rate transform runs through the runtime-dispatched
+// backend of support/simd.h, and the hit pass walks the rows once per four
+// realizations over a vertically interleaved inverse-rate block. The
+// min-reductions and the hit decision are bit-exact across backends;
+// summaries may differ across backends by transcendental rounding only (see
+// simd.h's contract), and the scalar backend (simd::force_backend(kScalar))
+// is the cross-machine reference.
 //
 // Scratch buffers live in the per-thread WorkerArena (support/parallel.h) —
 // reused across realizations, shrunk when a small scenario follows a huge
@@ -75,16 +72,6 @@ namespace trimcaching::sim {
 
 /// Stream tag for the counter-based per-realization fading derivation.
 inline constexpr std::uint64_t kFadingStream = 0xFADEull;
-
-/// Which inner loop fading_hit_ratio runs. kBatched and kScalarReference
-/// are bit-identical to each other; kSimd draws its own (deterministic,
-/// thread-count-invariant) counter-based gain stream — see the header
-/// comment.
-enum class FadingKernel {
-  kBatched,          ///< scalar SoA kernel (bit-identical to kScalarReference)
-  kScalarReference,  ///< the pre-lowering per-link scalar loop (benchmarks)
-  kSimd,             ///< vectorized counter-based kernel (runtime dispatch)
-};
 
 class EvalPlan {
  public:
@@ -120,22 +107,21 @@ class EvalPlan {
   /// canonical greedy compute assignment of core::evaluate_joint replayed
   /// over this arena, bit-identical to the core evaluator on the same
   /// snapshot (same walk order, same latency arithmetic, same charges).
+  /// Maintains the placement-lowering cache (see fading_hit_ratio).
   [[nodiscard]] double expected_hit_ratio(const core::PlacementSolution& placement) const;
 
   /// Monte-Carlo hit ratio over Rayleigh fading realizations, sharded over
   /// up to `threads` pool workers (0 = hardware concurrency, 1 = inline).
-  /// Bit-identical for any thread count under every kernel; does not advance
-  /// `rng`. Maintains the placement-lowering cache, so concurrent calls on
-  /// the SAME EvalPlan are not safe (distinct plans, as the Monte-Carlo
-  /// shards use, are fine).
+  /// Bit-identical for any thread count; does not advance `rng`. Maintains
+  /// the placement-lowering cache, so concurrent calls on the SAME EvalPlan
+  /// are not safe (distinct plans, as the Monte-Carlo shards use, are fine).
   [[nodiscard]] support::Summary fading_hit_ratio(
       const core::PlacementSolution& placement, std::size_t realizations,
-      const support::Rng& rng, std::size_t threads = 1,
-      FadingKernel kernel = FadingKernel::kSimd) const;
+      const support::Rng& rng, std::size_t threads = 1) const;
 
-  /// Placement-lowering cache counters: how many fading_hit_ratio calls
-  /// rebuilt the lowering vs reused the cached one (keyed on
-  /// PlacementSolution::revision(); invalidated by apply_delta).
+  /// Placement-lowering cache counters: how many expected_hit_ratio /
+  /// fading_hit_ratio calls rebuilt the lowering vs reused the cached one
+  /// (keyed on PlacementSolution::revision(); invalidated by apply_delta).
   [[nodiscard]] std::uint64_t lowering_builds() const noexcept {
     return lowering_builds_;
   }
@@ -151,33 +137,23 @@ class EvalPlan {
     double budget_s;  ///< deadline minus on-device inference (slack)
   };
 
-  /// Per-call lowering of a placement against this arena: for every request
-  /// row, the covering links that hold the row's model (indices into the
-  /// flat link arrays) and whether a relay through the best covering server
-  /// can reach an out-of-coverage holder (Eq. 5 eligibility).
-  ///
-  /// Two views of the same lowering: the row-aligned arrays (one entry per
-  /// arena row, inactive rows with empty holder spans) feed the batched
-  /// scalar kernel, and a compact user-major SoA over the *active* rows
+  /// Per-call lowering of a placement against this arena: a compact
+  /// user-major SoA over the *active* request rows (model placed somewhere)
   /// only — sequential payload/budget/probability/holder-span streams with
-  /// no inactive-row branch and no strided Row loads — feeds the SIMD hit
-  /// passes, which walk it once per realization (or per lane block).
+  /// no inactive-row branch and no strided Row loads. Per active row: the
+  /// covering links that hold the row's model (indices into the flat link
+  /// arrays) and whether a relay through the best covering server can reach
+  /// an out-of-coverage holder (Eq. 5 eligibility). User k owns compact
+  /// rows [user_offsets[k], user_offsets[k + 1]), in arena row order.
   struct PlacementLowering {
-    std::vector<std::uint32_t> holder_offsets;  ///< per row, size rows + 1
-    std::vector<std::uint32_t> holder_links;    ///< flat link indices
-    std::vector<std::uint8_t> relay_eligible;   ///< per row
-    std::vector<std::uint8_t> active;           ///< per row: model placed at all
-
-    // Compact active-row SoA, user-major: user k owns compact rows
-    // [user_offsets[k], user_offsets[k + 1]). holder_begin/holder_count
-    // index into holder_links (same flat array as holder_offsets).
+    std::vector<std::uint32_t> holder_links;   ///< flat link indices
     std::vector<std::uint32_t> user_offsets;   ///< size num_users + 1
     std::vector<double> payload_bits;          ///< per active row
     std::vector<double> budget_s;              ///< per active row
     std::vector<double> probability;           ///< per active row
     std::vector<std::uint32_t> holder_begin;   ///< per active row
     std::vector<std::uint32_t> holder_count;   ///< per active row
-    std::vector<std::uint8_t> relay;           ///< per active row
+    std::vector<std::uint8_t> relay;           ///< per active row: Eq. 5 eligible
   };
 
   [[nodiscard]] PlacementLowering lower_placement(
@@ -188,11 +164,6 @@ class EvalPlan {
   [[nodiscard]] const PlacementLowering& lowered(
       const core::PlacementSolution& placement) const;
 
-  /// Hit ratio for one realized per-link inverse-rate array (scalar
-  /// reference kernel: chases placement bitsets per link per row).
-  [[nodiscard]] double hit_ratio(const core::PlacementSolution& placement,
-                                 const double* inv_rate) const;
-
   /// Joint caching + compute objective under average rates: the canonical
   /// server-major assignment (servers ascending, placed models ascending,
   /// users ascending) with per-server compute accounting — the EvalPlan
@@ -200,15 +171,9 @@ class EvalPlan {
   [[nodiscard]] double expected_hit_ratio_joint(
       const core::PlacementSolution& placement) const;
 
-  /// Batched kernel: same reduction over the pre-lowered holder lists; no
-  /// placement lookups and no per-link branches on the hot path.
-  [[nodiscard]] double hit_ratio_lowered(const PlacementLowering& lowering,
-                                         const double* inv_rate) const;
-
-  /// SIMD kernel: bit-identical decision logic with a short-circuited Eq. 4
-  /// holder scan and the per-user relay min computed lazily through the
-  /// backend's span reduction — same mass as hit_ratio_lowered for the same
-  /// inv_rate array.
+  /// Hit ratio for one per-link inverse-rate array: a short-circuited Eq. 4
+  /// holder scan per active row, and the per-user relay min (Eq. 5)
+  /// computed lazily through the backend's span reduction.
   [[nodiscard]] double hit_ratio_lowered_simd(const PlacementLowering& lowering,
                                               const double* inv_rate,
                                               const support::simd::Ops& ops) const;
@@ -257,7 +222,7 @@ class EvalPlan {
   // steady-state incremental updates do not allocate.
   support::FirstTouchArray inv_scratch_;
 
-  // Placement-lowering cache (fading_hit_ratio's per-call setup). A cached
+  // Placement-lowering cache (the hit test's per-placement setup). A cached
   // revision of 0 means "empty" — PlacementSolution revisions are never 0.
   // apply_delta invalidates (link indices shift with the spans). mutable:
   // a cache behind a const evaluation API; see fading_hit_ratio's

@@ -10,6 +10,25 @@ namespace trimcaching::sim {
 using support::seconds_since;
 using Clock = support::WallClock;
 
+namespace {
+
+/// Runs `call` on `plan` and folds the plan's lowering-counter increments
+/// into `stats`. The plan's counters restart with each rebuilt plan, so the
+/// cumulative stats accumulate per-call deltas (the same pattern as the
+/// build/delta timers).
+template <typename Call>
+auto counting_lowerings(const EvalPlan& plan, PlanMaintenanceStats& stats,
+                        const Call& call) {
+  const std::uint64_t builds_before = plan.lowering_builds();
+  const std::uint64_t hits_before = plan.lowering_hits();
+  const auto result = call(plan);
+  stats.lowering_builds += plan.lowering_builds() - builds_before;
+  stats.lowering_hits += plan.lowering_hits() - hits_before;
+  return result;
+}
+
+}  // namespace
+
 Evaluator::Evaluator(const wireless::NetworkTopology& topology,
                      const model::ModelLibrary& library,
                      const workload::RequestModel& requests)
@@ -50,26 +69,19 @@ const EvalPlan& Evaluator::plan() const {
 }
 
 double Evaluator::expected_hit_ratio(const core::PlacementSolution& placement) const {
-  return plan().expected_hit_ratio(placement);
+  return counting_lowerings(plan(), stats_, [&](const EvalPlan& current) {
+    return current.expected_hit_ratio(placement);
+  });
 }
 
 support::Summary Evaluator::fading_hit_ratio(const core::PlacementSolution& placement,
                                              std::size_t realizations,
                                              const support::Rng& rng,
-                                             std::size_t threads,
-                                             FadingKernel kernel) const {
+                                             std::size_t threads) const {
   build_threads_ = support::resolve_threads(threads);
-  const EvalPlan& current = plan();
-  // The plan's lowering counters restart with each rebuilt plan; fold the
-  // per-call increments into the cumulative stats (delta accumulation, the
-  // same pattern as the build/delta timers).
-  const std::uint64_t builds_before = current.lowering_builds();
-  const std::uint64_t hits_before = current.lowering_hits();
-  const support::Summary summary =
-      current.fading_hit_ratio(placement, realizations, rng, threads, kernel);
-  stats_.lowering_builds += current.lowering_builds() - builds_before;
-  stats_.lowering_hits += current.lowering_hits() - hits_before;
-  return summary;
+  return counting_lowerings(plan(), stats_, [&](const EvalPlan& current) {
+    return current.fading_hit_ratio(placement, realizations, rng, threads);
+  });
 }
 
 }  // namespace trimcaching::sim

@@ -48,8 +48,9 @@ struct PlanMaintenanceStats {
   std::size_t deltas = 0;        ///< in-place apply_delta patches
   double build_seconds = 0.0;    ///< wall-clock spent in full builds
   double delta_seconds = 0.0;    ///< wall-clock spent in delta patches
-  /// Placement-lowering cache traffic of fading_hit_ratio calls through this
-  /// Evaluator: rebuilds vs revision-keyed reuses (EvalPlan::lowering_*).
+  /// Placement-lowering cache traffic of expected_hit_ratio and
+  /// fading_hit_ratio calls through this Evaluator: rebuilds vs
+  /// revision-keyed reuses (EvalPlan::lowering_*).
   std::uint64_t lowering_builds = 0;
   std::uint64_t lowering_hits = 0;
 };
@@ -69,13 +70,11 @@ class Evaluator {
   /// any thread count; `rng` is not advanced — realization r draws from a
   /// counter-based stream keyed on (rng seed, kFadingStream, r), so
   /// evaluating several placements against the same base Rng compares them
-  /// under identical channel draws. `kernel` selects the inner loop (see
-  /// FadingKernel); the default SIMD kernel dispatches to the widest
-  /// available backend at runtime.
+  /// under identical channel draws. The gain transform dispatches to the
+  /// widest available SIMD backend at runtime (EvalPlan's header comment).
   [[nodiscard]] support::Summary fading_hit_ratio(
       const core::PlacementSolution& placement, std::size_t realizations,
-      const support::Rng& rng, std::size_t threads = 1,
-      FadingKernel kernel = FadingKernel::kSimd) const;
+      const support::Rng& rng, std::size_t threads = 1) const;
 
   /// The plan for the topology's current snapshot (delta-patched or rebuilt
   /// after mobility; untouched by placement-only changes).

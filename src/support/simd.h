@@ -45,8 +45,9 @@
 // so given identical inverse-rate arrays it is bit-exact on every backend;
 // end-to-end fading summaries across backends are tolerance-equal (the ULP
 // wiggle on the transform), which tests/simd_test.cc gates over seeded
-// scenarios. CI runs that need full bit-identity across machines keep the
-// scalar-only FadingKernel::kBatched / kScalarReference pair.
+// scenarios. The scalar backend (force_backend(Backend::kScalar)) draws the
+// same counter stream and is the cross-machine reference: runs that need
+// full bit-identity across machines force it.
 #pragma once
 
 #include <cstddef>
@@ -105,8 +106,7 @@ struct Ops {
   void (*rayleigh_gains)(std::uint64_t key, std::size_t n, double* gains);
 
   /// inv[l] = 1 / (bw[l] * log2(1 + snr[l] * gains[l])). Zero-bandwidth or
-  /// zero-SNR links fall out as +inf (1/0), matching the scalar batched
-  /// kernel's guards.
+  /// zero-SNR links fall out as +inf (1/0).
   void (*inv_rate_from_gains)(const double* bw, const double* snr,
                               const double* gains, std::size_t n, double* inv);
 

@@ -311,21 +311,21 @@ TEST(BenchJsonSchema, CommittedServingBaselineMatchesTheLock) {
 
 TEST(BenchJsonSchema, CommittedMicroBaselineMatchesTheLock) {
   // The micro baseline behind the SIMD kernel ratio gate: both synthesized
-  // batched-over-simd ratio records must parse under the strict reader with
-  // the ratio in speedup_vs_serial, and the gated 1000-link point must sit
-  // at or above the 2x floor the gate enforces (a baseline below its own
-  // floor would mask every future regression down to it).
+  // scalar-over-active-backend ratio records must parse under the strict
+  // reader with the ratio in speedup_vs_serial, and the gated 1000-link
+  // point must sit at or above the 1.1x floor the gate enforces (a baseline
+  // below its own floor would mask every future regression down to it).
   const std::string path = std::string(TRIMCACHING_SOURCE_DIR) +
                            "/bench/baselines/BENCH_micro_baseline.json";
   const auto records = read_bench_json(path);
   for (const std::string name :
-       {"fading_simd_speedup_100", "fading_simd_speedup_1000"}) {
+       {"fading_vector_speedup_100", "fading_vector_speedup_1000"}) {
     ASSERT_TRUE(records.count(name)) << "baseline is missing " << name;
     const JsonRecord& record = records.at(name);
     EXPECT_GT(record.wall_seconds, 0.0) << name;
     EXPECT_GT(record.speedup_vs_serial, 1.0) << name;
   }
-  EXPECT_GE(records.at("fading_simd_speedup_1000").speedup_vs_serial, 2.0);
+  EXPECT_GE(records.at("fading_vector_speedup_1000").speedup_vs_serial, 1.1);
 }
 
 }  // namespace

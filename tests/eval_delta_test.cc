@@ -11,13 +11,16 @@
 //     documented boundary (strictly-greater comparison);
 //   * the Evaluator never rebuilds on placement-only changes, consumes
 //     chaining deltas, and falls back to a rebuild when the chain breaks;
-//   * the batched fading kernel is bit-identical to the scalar reference.
+//   * fading_hit_ratio is bit-identical to an independent oracle that draws
+//     the same gains but decides Eq. 4/5 straight from the placement, on the
+//     scalar and the active SIMD backend, at threads 1 and 3.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "src/core/solver_registry.h"
@@ -25,6 +28,9 @@
 #include "src/sim/evaluator.h"
 #include "src/sim/replacement.h"
 #include "src/sim/scenario.h"
+#include "src/support/simd.h"
+#include "src/support/stats.h"
+#include "src/wireless/channel.h"
 #include "src/wireless/topology.h"
 
 namespace trimcaching::sim {
@@ -309,22 +315,87 @@ TEST(Evaluator, ConsumesChainingDeltasAndRebuildsOtherwise) {
   EXPECT_EQ(evaluator.plan_stats().builds, 3u);
 }
 
-TEST(FadingKernels, BatchedBitIdenticalToScalarReference) {
-  for (std::uint64_t seed : {0ull, 9ull, 17ull}) {
+/// Independent fading oracle: per realization, the same counter-based gains
+/// and backend inverse rates as EvalPlan, but Eq. 4/5 decided per (user,
+/// model) by chasing placement.placed() over the topology's covering links —
+/// no lowering, no holder sorting, no lane blocking.
+support::Summary oracle_fading_hit_ratio(const Scenario& scenario,
+                                         const core::PlacementSolution& placement,
+                                         std::size_t realizations, const Rng& rng) {
+  const NetworkTopology& topology = scenario.topology;
+  const workload::RequestModel& requests = scenario.requests;
+  const std::vector<std::size_t>& offsets = topology.covering_offsets();
+  const std::vector<ServerId>& covering = topology.covering_flat();
+  const std::size_t links = covering.size();
+  const double backhaul_bps = topology.radio().backhaul_bps;
+  std::vector<double> gains(links);
+  std::vector<double> inv_rate(links);
+  support::RunningStats stats;
+  for (std::size_t r = 0; r < realizations; ++r) {
+    wireless::sample_rayleigh_power_gains(rng.stream_key(kFadingStream, r), links,
+                                          gains.data());
+    support::simd::ops().inv_rate_from_gains(topology.link_bandwidth_hz().data(),
+                                             topology.link_mean_snr().data(),
+                                             gains.data(), links, inv_rate.data());
+    double hit_mass = 0.0;
+    for (UserId k = 0; k < topology.num_users(); ++k) {
+      double best_inv = std::numeric_limits<double>::infinity();
+      for (std::size_t l = offsets[k]; l < offsets[k + 1]; ++l) {
+        best_inv = std::min(best_inv, inv_rate[l]);
+      }
+      for (ModelId i = 0; i < requests.num_models(); ++i) {
+        const double p = requests.probability(k, i);
+        const double budget = requests.deadline_s(k, i) - requests.inference_s(k, i);
+        if (p <= 0.0 || budget <= 0.0) continue;
+        const double payload = support::bits(scenario.library.model_size(i));
+        bool hit = false;
+        std::size_t covering_holders = 0;
+        for (std::size_t l = offsets[k]; l < offsets[k + 1]; ++l) {
+          if (!placement.placed(covering[l], i)) continue;
+          ++covering_holders;
+          hit = hit || payload * inv_rate[l] <= budget;  // Eq. 4
+        }
+        if (!hit && placement.holders_of(i).size() > covering_holders &&
+            best_inv < std::numeric_limits<double>::infinity()) {
+          hit = payload / backhaul_bps + payload * best_inv <= budget;  // Eq. 5
+        }
+        if (hit) hit_mass += p;
+      }
+    }
+    stats.add(requests.total_mass() > 0 ? hit_mass / requests.total_mass() : 0.0);
+  }
+  return support::Summary{stats.mean(), stats.stddev(), stats.min(), stats.max(),
+                          stats.count()};
+}
+
+TEST(FadingOracle, EvalPlanBitIdenticalOnEveryBackendAndThreadCount) {
+  // Realization counts mix whole 4-lane blocks and tails; threads = 3
+  // reshuffles the chunk boundaries across them.
+  for (std::uint64_t seed = 0; seed < 12; ++seed) {
     Rng rng(seed);
     const Scenario scenario = build_scenario(varied_config(seed), rng);
-    const core::PlacementProblem problem = scenario.problem();
     core::SolverContext context(rng.fork(5));
-    const auto placement =
-        core::SolverRegistry::instance().make("gen")->run(problem, context).placement;
+    const auto placement = core::SolverRegistry::instance()
+                               .make("gen")
+                               ->run(scenario.problem(), context)
+                               .placement;
     const EvalPlan plan(scenario.topology, scenario.library, scenario.requests);
     const Rng fading(seed + 100);
-    const auto scalar = plan.fading_hit_ratio(placement, 48, fading, 1,
-                                              FadingKernel::kScalarReference);
-    expect_same_summary(scalar, plan.fading_hit_ratio(placement, 48, fading, 1,
-                                                      FadingKernel::kBatched));
-    expect_same_summary(scalar, plan.fading_hit_ratio(placement, 48, fading, 8,
-                                                      FadingKernel::kBatched));
+    for (const bool scalar : {true, false}) {
+      if (scalar) support::simd::force_backend(support::simd::Backend::kScalar);
+      for (const std::size_t realizations : {3u, 8u, 13u}) {
+        const support::Summary oracle =
+            oracle_fading_hit_ratio(scenario, placement, realizations, fading);
+        for (const std::size_t threads : {1u, 3u}) {
+          SCOPED_TRACE(::testing::Message()
+                       << "seed " << seed << " scalar " << scalar << " realizations "
+                       << realizations << " threads " << threads);
+          expect_same_summary(oracle, plan.fading_hit_ratio(placement, realizations,
+                                                            fading, threads));
+        }
+      }
+      support::simd::clear_forced_backend();
+    }
   }
 }
 

@@ -13,7 +13,7 @@
 //   * runtime dispatch: the active backend is available, force_backend
 //     overrides it (and rejects unavailable backends), clear_forced_backend
 //     restores auto-detection;
-//   * FadingKernel::kSimd is invariant to thread count and lane-block
+//   * EvalPlan::fading_hit_ratio is invariant to thread count and lane-block
 //     grouping (bit-identical summaries at threads 1 vs 8 across block and
 //     tail realization counts), and switching backends moves the summary by
 //     at most a tolerance over seeded scenarios;
@@ -257,9 +257,9 @@ TEST(SimdFadingKernel, ThreadAndLaneBlockInvariant) {
     const Rng fading(seed * 17 + 1);
     for (const std::size_t realizations : {3ull, 8ull, 13ull}) {
       const auto serial = plan.fading_hit_ratio(placement, realizations, fading,
-                                                1, sim::FadingKernel::kSimd);
+                                                1);
       const auto wide = plan.fading_hit_ratio(placement, realizations, fading,
-                                              8, sim::FadingKernel::kSimd);
+                                              8);
       expect_same_summary(serial, wide);
     }
   }
@@ -280,15 +280,11 @@ TEST(SimdFadingKernel, BackendToleranceOverSeededScenarios) {
     const Rng fading(seed * 31 + 7);
 
     simd::force_backend(simd::Backend::kScalar);
-    const auto scalar1 = plan.fading_hit_ratio(placement, 16, fading, 1,
-                                               sim::FadingKernel::kSimd);
-    const auto scalar8 = plan.fading_hit_ratio(placement, 16, fading, 8,
-                                               sim::FadingKernel::kSimd);
+    const auto scalar1 = plan.fading_hit_ratio(placement, 16, fading, 1);
+    const auto scalar8 = plan.fading_hit_ratio(placement, 16, fading, 8);
     simd::clear_forced_backend();
-    const auto active1 = plan.fading_hit_ratio(placement, 16, fading, 1,
-                                               sim::FadingKernel::kSimd);
-    const auto active8 = plan.fading_hit_ratio(placement, 16, fading, 8,
-                                               sim::FadingKernel::kSimd);
+    const auto active1 = plan.fading_hit_ratio(placement, 16, fading, 1);
+    const auto active8 = plan.fading_hit_ratio(placement, 16, fading, 8);
     ASSERT_EQ(simd::active_backend(), detected);
 
     expect_same_summary(scalar1, scalar8);
@@ -423,20 +419,13 @@ TEST(LoweringCache, HitsOnSameRevisionRebuildsOnChange) {
   const Rng fading(99);
 
   ASSERT_EQ(plan.lowering_builds(), 0u);
-  (void)plan.fading_hit_ratio(placement, 4, fading, 1, sim::FadingKernel::kSimd);
+  (void)plan.fading_hit_ratio(placement, 4, fading, 1);
   ASSERT_EQ(plan.lowering_builds(), 1u);
   ASSERT_EQ(plan.lowering_hits(), 0u);
 
-  // Same revision: both lowered kernels reuse the cache.
-  (void)plan.fading_hit_ratio(placement, 4, fading, 1, sim::FadingKernel::kSimd);
-  (void)plan.fading_hit_ratio(placement, 4, fading, 1,
-                              sim::FadingKernel::kBatched);
-  ASSERT_EQ(plan.lowering_builds(), 1u);
-  ASSERT_EQ(plan.lowering_hits(), 2u);
-
-  // The scalar reference kernel does not touch the lowering at all.
-  (void)plan.fading_hit_ratio(placement, 4, fading, 1,
-                              sim::FadingKernel::kScalarReference);
+  // Same revision: fading and the Eq. 2 walk both reuse the cache.
+  (void)plan.fading_hit_ratio(placement, 4, fading, 1);
+  (void)plan.expected_hit_ratio(placement);
   ASSERT_EQ(plan.lowering_builds(), 1u);
   ASSERT_EQ(plan.lowering_hits(), 2u);
 
@@ -447,7 +436,7 @@ TEST(LoweringCache, HitsOnSameRevisionRebuildsOnChange) {
   } else {
     placement.place(0, model);
   }
-  (void)plan.fading_hit_ratio(placement, 4, fading, 1, sim::FadingKernel::kSimd);
+  (void)plan.fading_hit_ratio(placement, 4, fading, 1);
   ASSERT_EQ(plan.lowering_builds(), 2u);
   ASSERT_EQ(plan.lowering_hits(), 2u);
 }
@@ -459,10 +448,12 @@ TEST(LoweringCache, InvalidatedByApplyDeltaAndSurfacedByEvaluator) {
   const auto placement = gen_placement(scenario, rng);
   const Rng fading(5);
 
-  // Evaluator path: the per-plan counters accumulate into plan_stats.
+  // Evaluator path: the per-plan counters of both hit tests accumulate into
+  // plan_stats — Eq. 2 builds the lowering, fading on the same revision
+  // reuses it.
   wireless::NetworkTopology topology = scenario.topology;
   sim::Evaluator evaluator(topology, scenario.library, scenario.requests);
-  (void)evaluator.fading_hit_ratio(placement, 4, fading, 1);
+  (void)evaluator.expected_hit_ratio(placement);
   (void)evaluator.fading_hit_ratio(placement, 4, fading, 1);
   ASSERT_EQ(evaluator.plan_stats().lowering_builds, 1u);
   ASSERT_EQ(evaluator.plan_stats().lowering_hits, 1u);

@@ -58,9 +58,9 @@
 //                   its ratio lands below this value even if the relative
 //                   drop stays inside threshold_pct (0 = off). Unlike the
 //                   relative gate, a floor does not erode when the baseline
-//                   is regenerated — e.g. min_ratio=2 pins the SIMD fading
-//                   kernel's contract of >= 2x over the batched scalar
-//                   kernel on any machine
+//                   is regenerated — e.g. min_ratio=1.1 pins the fading
+//                   kernel's vector backend at >= 1.1x its scalar backend
+//                   on any machine
 //
 // Matching is by benchmark name; parsing goes through the shared strict
 // bench::read_bench_json, so a record missing the locked schema keys aborts
