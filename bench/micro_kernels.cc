@@ -228,43 +228,6 @@ void BM_RayleighBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_RayleighBatch)->Args({1000, 0})->Args({1000, 1});
 
-// The min-reductions of the fading hit pass in isolation: per-user span
-// mins plus gathered holder mins over a synthetic inverse-rate array shaped
-// like the big arena (spans of 12 links, rows gathering 6 holder links).
-// Args as BM_RayleighBatch: {array length, backend (0 = scalar, 1 = active)}.
-void BM_HitRatioLowered(benchmark::State& state) {
-  namespace simd = support::simd;
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const simd::Backend backend =
-      state.range(1) == 0 ? simd::Backend::kScalar : simd::active_backend();
-  const simd::Ops& ops = simd::ops(backend);
-  std::vector<double> inv(n);
-  for (std::size_t l = 0; l < n; ++l) {
-    inv[l] = 1e-6 * static_cast<double>(1 + (support::mix64(l) >> 40));
-  }
-  constexpr std::size_t kSpan = 12;
-  constexpr std::size_t kHolders = 6;
-  std::vector<std::uint32_t> holder_links;
-  for (std::size_t r = 0; r * 2 + kHolders < n; ++r) {
-    for (std::size_t h = 0; h < kHolders; ++h) {
-      holder_links.push_back(
-          static_cast<std::uint32_t>(support::mix64(r * kHolders + h) % n));
-    }
-  }
-  for (auto _ : state) {
-    double acc = 0.0;
-    for (std::size_t begin = 0; begin + kSpan <= n; begin += kSpan) {
-      acc += ops.min_span(inv.data() + begin, kSpan);
-    }
-    for (std::size_t h = 0; h + kHolders <= holder_links.size(); h += kHolders) {
-      acc += ops.min_gather(inv.data(), holder_links.data() + h, kHolders);
-    }
-    benchmark::DoNotOptimize(acc);
-  }
-  state.SetLabel(simd::backend_name(backend));
-}
-BENCHMARK(BM_HitRatioLowered)->Args({1000, 0})->Args({1000, 1});
-
 // Incremental plan maintenance: apply_user_moves + EvalPlan::apply_delta
 // per iteration (jittered user subset), against BM_EvalPlanBuild's full
 // construction. Arg = number of moved users.

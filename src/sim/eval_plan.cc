@@ -1,10 +1,12 @@
 #include "src/sim/eval_plan.h"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <stdexcept>
 
 #include "src/support/parallel.h"
+#include "src/support/simd.h"
 #include "src/support/units.h"
 #include "src/wireless/channel.h"
 
@@ -15,21 +17,23 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 
 // WorkerArena slots of the fading scratch buffers (support/parallel.h).
 constexpr std::size_t kArenaGains = 0;
-constexpr std::size_t kArenaInvRate = 1;
-constexpr std::size_t kArenaStaging = 2;
-constexpr std::size_t kArenaBlocked = 3;
+constexpr std::size_t kArenaStaging = 1;
+constexpr std::size_t kArenaBlocked = 2;
 
-// Realizations per lane-blocked hit pass of the SIMD kernel: amortizes the
-// per-row metadata walk of phase C (the dominant cost at paper scale, where
-// request rows outnumber links ~3:1) and turns each holder probe into one
-// contiguous 4-double load instead of a strided gather.
-constexpr std::size_t kLaneBlock = 4;
+// Realizations per lane-blocked hit pass: amortizes the per-row metadata
+// walk (the dominant cost at paper scale, where request rows outnumber links
+// ~3:1) over eight realizations and turns each holder probe into one
+// contiguous 8-double load instead of a strided gather. Eight lanes are
+// four Vec2d per operand, which stay in registers on SSE2 and NEON; a
+// four-lane block gains less at 100x scale, sixteen lanes no more.
+constexpr std::size_t kLaneBlock = 8;
+constexpr std::size_t kVecs = kLaneBlock / 2;
 
 // Two-lane double / mask vectors (GCC/Clang extension): lower to SSE2 on
 // x86-64's baseline ISA and to NEON on AArch64, so the blocked hit pass
 // vectorizes without target attributes or a runtime-dispatched backend.
-// Every lane op is the same IEEE operation the scalar chain performs, so
-// lane results stay bit-identical.
+// Every lane op is a plain IEEE min, compare or add, so each lane's result
+// is bit-identical to evaluating its realization alone.
 typedef double Vec2d __attribute__((vector_size(16), aligned(8)));
 typedef long long Mask2 __attribute__((vector_size(16), aligned(8)));
 
@@ -38,7 +42,71 @@ inline Vec2d load2(const double* p) noexcept {
   __builtin_memcpy(&v, p, sizeof v);
   return v;
 }
+
+inline Vec2d min2(Vec2d a, Vec2d b) noexcept { return a < b ? a : b; }
+
+// The largest finite x >= 0 with pass(x), or -1 when pass(0) fails, for a
+// predicate monotone (non-increasing) in x. Non-negative doubles order like
+// their bit patterns, so the search runs on the integers: gallop outward
+// from the closed-form guess to a bracket pass(lo) && !pass(hi) (hi starts
+// at +inf, which a finite budget never passes), then bisect it to adjacent
+// patterns. The guess only bounds the work; any guess gives the same answer.
+template <typename Pass>
+double largest_passing(double guess, Pass pass) {
+  const auto at = [](std::uint64_t bits) { return std::bit_cast<double>(bits); };
+  if (!pass(0.0)) return -1.0;
+  std::uint64_t lo = 0;
+  std::uint64_t hi = std::bit_cast<std::uint64_t>(kInf);
+  const double max_finite = std::numeric_limits<double>::max();
+  const std::uint64_t g =
+      guess > 0.0 ? std::bit_cast<std::uint64_t>(std::min(guess, max_finite)) : 0;
+  if (pass(at(g))) {
+    lo = g;
+    for (std::uint64_t step = 1; step < hi - lo; step *= 2) {
+      if (!pass(at(lo + step))) {
+        hi = lo + step;
+        break;
+      }
+      lo += step;
+    }
+  } else {
+    hi = g;
+    for (std::uint64_t step = 1; step < hi - lo; step *= 2) {
+      if (pass(at(hi - step))) {
+        lo = hi - step;
+        break;
+      }
+      hi -= step;
+    }
+  }
+  while (hi - lo > 1) {
+    const std::uint64_t mid = lo + (hi - lo) / 2;
+    if (pass(at(mid))) {
+      lo = mid;
+    } else {
+      hi = mid;
+    }
+  }
+  return at(lo);
+}
 }  // namespace
+
+// The predicates are the Eq. 4 / Eq. 5 latency expressions exactly as the
+// joint walk below evaluates them. The library builds ISO C++ (no GNU
+// extensions), so GCC does not contract them into an FMA and each rounds
+// as written.
+double direct_threshold(double payload_bits, double budget_s) {
+  return largest_passing(budget_s / payload_bits, [&](double x) {
+    return payload_bits * x <= budget_s;  // Eq. 4
+  });
+}
+
+double relay_threshold(double payload_bits, double budget_s, double backhaul_bps) {
+  const double guess = (budget_s - payload_bits / backhaul_bps) / payload_bits;
+  return largest_passing(guess, [&](double x) {
+    return payload_bits / backhaul_bps + payload_bits * x <= budget_s;  // Eq. 5
+  });
+}
 
 EvalPlan::EvalPlan(const wireless::NetworkTopology& topology,
                    const model::ModelLibrary& library,
@@ -92,7 +160,9 @@ EvalPlan::EvalPlan(const wireless::NetworkTopology& topology,
       if (p <= 0.0) continue;
       const double budget = requests.deadline_s(k, i) - requests.inference_s(k, i);
       if (budget <= 0.0) continue;
-      rows_.push_back(Row{i, p, payload_bits[i], budget});
+      rows_.push_back(Row{i, p, payload_bits[i], budget,
+                          direct_threshold(payload_bits[i], budget),
+                          relay_threshold(payload_bits[i], budget, backhaul_bps_)});
       row_cost_.push_back(requests.compute_cost(k, i));
     }
     row_offsets_[k + 1] = rows_.size();
@@ -172,6 +242,7 @@ EvalPlan::PlacementLowering EvalPlan::lower_placement(
     const core::PlacementSolution& placement) const {
   PlacementLowering lowering;
   lowering.user_offsets.assign(num_users_ + 1, 0);
+  lowering.holder_offsets.push_back(0);
   for (UserId k = 0; k < num_users_; ++k) {
     const std::size_t link_begin = link_offsets_[k];
     const std::size_t link_end = link_offsets_[k + 1];
@@ -186,30 +257,17 @@ EvalPlan::PlacementLowering EvalPlan::lower_placement(
         }
       }
       const std::size_t covering_holders = lowering.holder_links.size() - row_holders;
-      // Probe order: fastest average link first, so the kernels' Eq. 4
-      // early-exit usually succeeds on the first load. Both predicates the
-      // kernels compute over this list (exists-within-budget, min) are
-      // order-independent, so reordering cannot change any decision or
-      // bit of the result; ties break on link index for determinism.
-      std::sort(lowering.holder_links.begin() + row_holders,
-                lowering.holder_links.end(),
-                [&](std::uint32_t a, std::uint32_t b) {
-                  const double ra = avg_inv_rate_[a];
-                  const double rb = avg_inv_rate_[b];
-                  if (ra != rb) return ra < rb;
-                  return a < b;
-                });
       // Arena row order: the hit mass accumulates row by row in the plan's
       // (user, model) order.
-      lowering.payload_bits.push_back(row.payload_bits);
-      lowering.budget_s.push_back(row.budget_s);
+      lowering.holder_offsets.push_back(
+          static_cast<std::uint32_t>(lowering.holder_links.size()));
       lowering.probability.push_back(row.probability);
-      lowering.holder_begin.push_back(static_cast<std::uint32_t>(row_holders));
-      lowering.holder_count.push_back(static_cast<std::uint32_t>(covering_holders));
-      lowering.relay.push_back(num_holders > covering_holders);
+      lowering.theta_direct.push_back(row.theta_direct);
+      lowering.theta_relay.push_back(num_holders > covering_holders ? row.theta_relay
+                                                                    : -1.0);
     }
     lowering.user_offsets[k + 1] =
-        static_cast<std::uint32_t>(lowering.payload_bits.size());
+        static_cast<std::uint32_t>(lowering.probability.size());
   }
   return lowering;
 }
@@ -227,132 +285,67 @@ const EvalPlan::PlacementLowering& EvalPlan::lowered(
   return lowering_cache_;
 }
 
-double EvalPlan::hit_ratio_lowered_simd(const PlacementLowering& lowering,
-                                        const double* inv_rate,
-                                        const support::simd::Ops& ops) const {
-  // The Eq. 4 scan short-circuits on the first in-budget holder link (under
-  // paper-scale budgets most rows hit on the first probe), and the per-user
-  // relay min — needed only once a row actually misses Eq. 4 — is computed
-  // lazily through the backend's span reduction. min_span is bit-exact vs
-  // std::min for the NaN-free inverse-rate arrays (simd.h contract), so the
-  // accumulated mass is bit-identical across backends.
-  double hit_mass = 0.0;
+void EvalPlan::hit_ratios(const PlacementLowering& lowering,
+                          const double* inv_blocked, double* ratios) const {
+  // Lane j reads inv_blocked[link * kLaneBlock + j]; one walk over the rows
+  // serves kLaneBlock realizations. Per user the vertical min over the link
+  // span gives each lane's best covering link (no horizontal reduction);
+  // per row the holder min and the two threshold compares decide every lane
+  // at once, and the probability is added under the hit mask. A missed lane
+  // adds +0.0, which leaves its non-negative mass bit-unchanged, so each
+  // lane's mass is the same row-order sum as a per-realization walk.
+  Vec2d mass[kVecs] = {};
+  const Vec2d inf2 = {kInf, kInf};
   for (UserId k = 0; k < num_users_; ++k) {
-    const std::size_t link_begin = link_offsets_[k];
-    const std::size_t span_len = link_offsets_[k + 1] - link_begin;
-    double best_inv = -1.0;  // lazy; inverse rates are never negative
-    for (std::uint32_t a = lowering.user_offsets[k];
-         a < lowering.user_offsets[k + 1]; ++a) {
-      const double payload = lowering.payload_bits[a];
-      const double budget = lowering.budget_s[a];
-      const std::uint32_t* holders =
-          lowering.holder_links.data() + lowering.holder_begin[a];
-      const std::uint32_t count = lowering.holder_count[a];
-      bool hit = false;
-      for (std::uint32_t h = 0; h < count; ++h) {
-        if (payload * inv_rate[holders[h]] <= budget) {  // Eq. 4
-          hit = true;
-          break;
-        }
-      }
-      if (!hit && lowering.relay[a]) {
-        if (best_inv < 0) {
-          best_inv = ops.min_span(inv_rate + link_begin, span_len);
-        }
-        if (best_inv < kInf) {
-          // Relay through the fastest covering server (Eq. 5).
-          const double latency = payload / backhaul_bps_ + payload * best_inv;
-          hit = latency <= budget;
-        }
-      }
-      if (hit) hit_mass += lowering.probability[a];
+    const std::uint32_t row_begin = lowering.user_offsets[k];
+    const std::uint32_t row_end = lowering.user_offsets[k + 1];
+    if (row_begin == row_end) continue;
+    Vec2d best[kVecs] = {inf2, inf2, inf2, inf2};
+    for (std::size_t l = link_offsets_[k]; l < link_offsets_[k + 1]; ++l) {
+      const double* v = inv_blocked + l * kLaneBlock;
+      for (std::size_t q = 0; q < kVecs; ++q) best[q] = min2(load2(v + 2 * q), best[q]);
     }
-  }
-  return total_mass_ > 0 ? hit_mass / total_mass_ : 0.0;
-}
-
-void EvalPlan::hit_ratio_lowered_block4(const PlacementLowering& lowering,
-                                        const double* inv_blocked,
-                                        double* ratios) const {
-  // Lane-blocked phase C: kLaneBlock (= 4) realizations per pass, lane j
-  // reading inv_blocked[link * 4 + j]. One walk over the rows serves four
-  // realizations, so the row metadata loads (offsets, payload, budget,
-  // probability) amortize 4x and every holder probe is one contiguous
-  // 4-double load. Per lane this runs the exact comparison chain of
-  // hit_ratio_lowered_simd in the same row order — the per-lane mass (and
-  // hence every ratio) is bit-identical to a per-realization evaluation.
-  double mass[kLaneBlock] = {0.0, 0.0, 0.0, 0.0};
-  constexpr unsigned kAllLanes = (1u << kLaneBlock) - 1;
-  for (UserId k = 0; k < num_users_; ++k) {
-    const std::size_t link_begin = link_offsets_[k];
-    const std::size_t span_len = link_offsets_[k + 1] - link_begin;
-    double best_inv[kLaneBlock];
-    bool have_best = false;
-    for (std::uint32_t a = lowering.user_offsets[k];
-         a < lowering.user_offsets[k + 1]; ++a) {
-      const double payload = lowering.payload_bits[a];
-      const double budget = lowering.budget_s[a];
-      const std::uint32_t* holders =
-          lowering.holder_links.data() + lowering.holder_begin[a];
-      const std::uint32_t count = lowering.holder_count[a];
-      const Vec2d payload2 = {payload, payload};
-      const Vec2d budget2 = {budget, budget};
-      Mask2 hit01 = {0, 0};
-      Mask2 hit23 = {0, 0};
-      for (std::uint32_t h = 0; h < count; ++h) {
-        const double* v = inv_blocked + std::size_t{holders[h]} * kLaneBlock;
-        hit01 |= (payload2 * load2(v) <= budget2);      // Eq. 4, lanes 0-1
-        hit23 |= (payload2 * load2(v + 2) <= budget2);  // Eq. 4, lanes 2-3
-        const Mask2 both = hit01 & hit23;
-        if ((both[0] & both[1]) != 0) break;  // all four lanes hit
-      }
-      unsigned hit = static_cast<unsigned>(hit01[0] & 1) |
-                     static_cast<unsigned>(hit01[1] & 2) |
-                     static_cast<unsigned>(hit23[0] & 4) |
-                     static_cast<unsigned>(hit23[1] & 8);
-      if (hit != kAllLanes && lowering.relay[a]) {
-        if (!have_best) {
-          // Per-lane span min, link order — the vertical layout needs no
-          // horizontal reduction at all (and matches std::min bit for bit:
-          // the vector select is the exact (x < best ? x : best) chain).
-          Vec2d best01 = {kInf, kInf};
-          Vec2d best23 = {kInf, kInf};
-          const double* span = inv_blocked + link_begin * kLaneBlock;
-          for (std::size_t l = 0; l < span_len; ++l) {
-            const Vec2d lo = load2(span + l * kLaneBlock);
-            const Vec2d hi = load2(span + l * kLaneBlock + 2);
-            best01 = lo < best01 ? lo : best01;
-            best23 = hi < best23 ? hi : best23;
-          }
-          best_inv[0] = best01[0];
-          best_inv[1] = best01[1];
-          best_inv[2] = best23[0];
-          best_inv[3] = best23[1];
-          have_best = true;
-        }
-        for (std::size_t j = 0; j < kLaneBlock; ++j) {
-          if ((hit >> j & 1u) == 0 && best_inv[j] < kInf) {
-            // Relay through the fastest covering server (Eq. 5).
-            const double latency = payload / backhaul_bps_ + payload * best_inv[j];
-            if (latency <= budget) hit |= 1u << j;
-          }
+    for (std::uint32_t a = row_begin; a < row_end; ++a) {
+      Vec2d holder[kVecs] = {inf2, inf2, inf2, inf2};
+      for (std::uint32_t h = lowering.holder_offsets[a];
+           h < lowering.holder_offsets[a + 1]; ++h) {
+        const double* v =
+            inv_blocked + std::size_t{lowering.holder_links[h]} * kLaneBlock;
+        for (std::size_t q = 0; q < kVecs; ++q) {
+          holder[q] = min2(load2(v + 2 * q), holder[q]);
         }
       }
-      for (std::size_t j = 0; j < kLaneBlock; ++j) {
-        if (hit >> j & 1u) mass[j] += lowering.probability[a];
+      const double theta_direct = lowering.theta_direct[a];
+      const double theta_relay = lowering.theta_relay[a];
+      const double p = lowering.probability[a];
+      const Vec2d direct2 = {theta_direct, theta_direct};
+      const Vec2d relay2 = {theta_relay, theta_relay};
+      const Vec2d p2 = {p, p};
+      for (std::size_t q = 0; q < kVecs; ++q) {
+        // Eq. 4 over the holders, Eq. 5 through the best covering link.
+        const Mask2 hit = (holder[q] <= direct2) | (best[q] <= relay2);
+        mass[q] += hit ? p2 : Vec2d{};
       }
     }
   }
   for (std::size_t j = 0; j < kLaneBlock; ++j) {
-    ratios[j] = total_mass_ > 0 ? mass[j] / total_mass_ : 0.0;
+    ratios[j] = total_mass_ > 0 ? mass[j / 2][j % 2] / total_mass_ : 0.0;
   }
 }
 
 double EvalPlan::expected_hit_ratio(const core::PlacementSolution& placement) const {
   check_placement(placement);
   if (compute_constrained_) return expected_hit_ratio_joint(placement);
-  return hit_ratio_lowered_simd(lowered(placement), avg_inv_rate_.data(),
-                                support::simd::ops());
+  // The average rates broadcast into every lane of one block.
+  const std::size_t links = num_links();
+  std::vector<double>& blocked =
+      support::this_worker_arena().doubles(kArenaBlocked, kLaneBlock * links);
+  for (std::size_t l = 0; l < links; ++l) {
+    std::fill_n(blocked.data() + l * kLaneBlock, kLaneBlock, avg_inv_rate_[l]);
+  }
+  double ratios[kLaneBlock];
+  hit_ratios(lowered(placement), blocked.data(), ratios);
+  return ratios[0];
 }
 
 double EvalPlan::expected_hit_ratio_joint(
@@ -451,25 +444,30 @@ support::Summary EvalPlan::fading_hit_ratio(const core::PlacementSolution& place
   // inverse rates come from the exact per-realization kernels (staged per
   // lane, then interleaved into the vertical layout), so the blocked hit
   // pass sees bit-identical inputs and any block/chunk grouping — hence
-  // any thread count — yields identical ratios. Static chunking (not the
-  // dynamic counter) so each worker touches a contiguous realization
-  // range — the partition first_touch_copy used for the link arrays.
+  // any thread count — yields identical ratios. A chunk's tail block is
+  // padded with copies of its first lane and the padding ratios dropped.
+  // Static chunking (not the dynamic counter) so each worker touches a
+  // contiguous realization range — the partition first_touch_copy used for
+  // the link arrays.
   const PlacementLowering& lowering = lowered(placement);
   const support::simd::Ops& ops = support::simd::ops();
   support::parallel_for_chunks(
       realizations, threads, [&](std::size_t begin, std::size_t end) {
         support::WorkerArena& arena = support::this_worker_arena();
         std::vector<double>& gains = arena.doubles(kArenaGains, links);
-        std::vector<double>& inv_rate = arena.doubles(kArenaInvRate, links);
         std::vector<double>& staging =
             arena.doubles(kArenaStaging, kLaneBlock * links);
         std::vector<double>& blocked =
             arena.doubles(kArenaBlocked, kLaneBlock * links);
         const double* bw = link_bandwidth_hz_.data();
         const double* snr = link_mean_snr_.data();
-        std::size_t r = begin;
-        for (; r + kLaneBlock <= end; r += kLaneBlock) {
+        for (std::size_t r = begin; r < end; r += kLaneBlock) {
+          const std::size_t lanes = std::min(kLaneBlock, end - r);
+          const double* lane_src[kLaneBlock];
           for (std::size_t j = 0; j < kLaneBlock; ++j) {
+            lane_src[j] = staging.data() + (j < lanes ? j : 0) * links;
+          }
+          for (std::size_t j = 0; j < lanes; ++j) {
             wireless::sample_rayleigh_power_gains(
                 rng.stream_key(kFadingStream, r + j), links, gains.data());
             ops.inv_rate_from_gains(bw, snr, gains.data(), links,
@@ -477,18 +475,11 @@ support::Summary EvalPlan::fading_hit_ratio(const core::PlacementSolution& place
           }
           for (std::size_t l = 0; l < links; ++l) {
             double* dst = blocked.data() + l * kLaneBlock;
-            for (std::size_t j = 0; j < kLaneBlock; ++j) {
-              dst[j] = staging[j * links + l];
-            }
+            for (std::size_t j = 0; j < kLaneBlock; ++j) dst[j] = lane_src[j][l];
           }
-          hit_ratio_lowered_block4(lowering, blocked.data(), &ratios[r]);
-        }
-        for (; r < end; ++r) {
-          wireless::sample_rayleigh_power_gains(
-              rng.stream_key(kFadingStream, r), links, gains.data());
-          ops.inv_rate_from_gains(bw, snr, gains.data(), links,
-                                  inv_rate.data());
-          ratios[r] = hit_ratio_lowered_simd(lowering, inv_rate.data(), ops);
+          double block_ratios[kLaneBlock];
+          hit_ratios(lowering, blocked.data(), block_ratios);
+          std::copy_n(block_ratios, lanes, &ratios[r]);
         }
       });
 

@@ -10,8 +10,8 @@
 //     carrying precomputed bandwidth share, mean SNR, and average inverse
 //     rate — a realization's rate is just bw * log2(1 + snr * |h|^2);
 //   * per user, a contiguous span of *request rows* (model, probability,
-//     payload bits, deadline slack), pre-filtered to p > 0 and positive
-//     slack.
+//     payload bits, deadline slack and the row's two hit thresholds),
+//     pre-filtered to p > 0 and positive slack.
 //
 // Both expected_hit_ratio (Eq. 2) and fading_hit_ratio then reduce to tight
 // loops over these arrays with one reusable per-thread inverse-rate scratch
@@ -38,13 +38,19 @@
 // keyed on PlacementSolution::revision()) into a compact user-major SoA of
 // the active request rows with their covering holder-link lists, and Eq. 4/5
 // is decided per row over one per-link inverse-rate array: the average
-// rates for Eq. 2, one realization's rates for fading. Fading derives each
-// link's gain from (realization key, link) alone, so links fill
-// lane-parallel and the integer stream is identical on every SIMD backend;
-// the gain -> inverse-rate transform runs through the runtime-dispatched
-// backend of support/simd.h, and the hit pass walks the rows once per four
-// realizations over a vertically interleaved inverse-rate block. The
-// min-reductions and the hit decision are bit-exact across backends;
+// rates for Eq. 2, one realization's rates for fading. Both latency tests
+// are monotone in the inverse rate, so each row carries two thresholds
+// precomputed at plan build (direct_threshold / relay_threshold below) and
+// a row hits iff min over its holder links <= theta_direct (Eq. 4) or the
+// user's best covering link <= theta_relay (Eq. 5) — one compare each, no
+// per-lane branch, no division, and the same decision as the latency
+// arithmetic bit for bit. Fading derives each link's gain from
+// (realization key, link) alone, so links fill lane-parallel and the
+// integer stream is identical on every SIMD backend; the gain ->
+// inverse-rate transform runs through the runtime-dispatched backend of
+// support/simd.h, and the hit pass walks the rows once per eight
+// realizations over a vertically interleaved inverse-rate block. The hit
+// decision is bit-exact across backends given identical inverse rates;
 // summaries may differ across backends by transcendental rounding only (see
 // simd.h's contract), and the scalar backend (simd::force_backend(kScalar))
 // is the cross-machine reference.
@@ -63,7 +69,6 @@
 #include "src/support/ids.h"
 #include "src/support/parallel.h"
 #include "src/support/rng.h"
-#include "src/support/simd.h"
 #include "src/support/stats.h"
 #include "src/wireless/topology.h"
 #include "src/workload/request_model.h"
@@ -72,6 +77,21 @@ namespace trimcaching::sim {
 
 /// Stream tag for the counter-based per-realization fading derivation.
 inline constexpr std::uint64_t kFadingStream = 0xFADEull;
+
+/// Eq. 4 threshold of one request row: the largest finite x >= 0 with
+/// `payload_bits * x <= budget_s`, or -1 when x = 0 already fails. IEEE
+/// multiplication is monotone in x, so for any inverse rate inv (>= 0 or
+/// +inf) the direct-download test holds iff inv <= the threshold. Exact
+/// for finite budgets (pass(+inf) is then false).
+[[nodiscard]] double direct_threshold(double payload_bits, double budget_s);
+
+/// Eq. 5 threshold: the largest finite x >= 0 with
+/// `payload_bits / backhaul_bps + payload_bits * x <= budget_s`, or -1 when
+/// x = 0 already fails (the backhaul hop alone blows the budget). The relay
+/// test through a best covering link of inverse rate inv holds iff inv <=
+/// the threshold; +inf (no covering link) never passes.
+[[nodiscard]] double relay_threshold(double payload_bits, double budget_s,
+                                     double backhaul_bps);
 
 class EvalPlan {
  public:
@@ -134,26 +154,26 @@ class EvalPlan {
     ModelId model;
     double probability;
     double payload_bits;
-    double budget_s;  ///< deadline minus on-device inference (slack)
+    double budget_s;      ///< deadline minus on-device inference (slack)
+    double theta_direct;  ///< direct_threshold(payload_bits, budget_s)
+    double theta_relay;   ///< relay_threshold(payload_bits, budget_s, backhaul)
   };
 
   /// Per-call lowering of a placement against this arena: a compact
   /// user-major SoA over the *active* request rows (model placed somewhere)
-  /// only — sequential payload/budget/probability/holder-span streams with
-  /// no inactive-row branch and no strided Row loads. Per active row: the
-  /// covering links that hold the row's model (indices into the flat link
-  /// arrays) and whether a relay through the best covering server can reach
-  /// an out-of-coverage holder (Eq. 5 eligibility). User k owns compact
-  /// rows [user_offsets[k], user_offsets[k + 1]), in arena row order.
+  /// only. Per active row: the probability, the two thresholds of the hit
+  /// compare, and the covering links that hold the row's model (indices into
+  /// the flat link arrays, link order). theta_relay is -1 when no holder
+  /// sits outside the user's coverage (the row is not Eq. 5 eligible). User
+  /// k owns compact rows [user_offsets[k], user_offsets[k + 1]), in arena row
+  /// order; row a owns holder_links[holder_offsets[a], holder_offsets[a + 1]).
   struct PlacementLowering {
-    std::vector<std::uint32_t> holder_links;   ///< flat link indices
-    std::vector<std::uint32_t> user_offsets;   ///< size num_users + 1
-    std::vector<double> payload_bits;          ///< per active row
-    std::vector<double> budget_s;              ///< per active row
-    std::vector<double> probability;           ///< per active row
-    std::vector<std::uint32_t> holder_begin;   ///< per active row
-    std::vector<std::uint32_t> holder_count;   ///< per active row
-    std::vector<std::uint8_t> relay;           ///< per active row: Eq. 5 eligible
+    std::vector<std::uint32_t> holder_links;    ///< flat link indices
+    std::vector<std::uint32_t> holder_offsets;  ///< size active rows + 1
+    std::vector<std::uint32_t> user_offsets;    ///< size num_users + 1
+    std::vector<double> probability;            ///< per active row
+    std::vector<double> theta_direct;           ///< per active row
+    std::vector<double> theta_relay;            ///< per active row; -1 = no relay
   };
 
   [[nodiscard]] PlacementLowering lower_placement(
@@ -171,20 +191,12 @@ class EvalPlan {
   [[nodiscard]] double expected_hit_ratio_joint(
       const core::PlacementSolution& placement) const;
 
-  /// Hit ratio for one per-link inverse-rate array: a short-circuited Eq. 4
-  /// holder scan per active row, and the per-user relay min (Eq. 5)
-  /// computed lazily through the backend's span reduction.
-  [[nodiscard]] double hit_ratio_lowered_simd(const PlacementLowering& lowering,
-                                              const double* inv_rate,
-                                              const support::simd::Ops& ops) const;
-
-  /// Lane-blocked SIMD hit pass: 4 realizations per row walk over the
-  /// vertically interleaved inverse rates (inv_blocked[link * 4 + lane]).
-  /// Writes ratios[0..3]; each lane bit-identical to hit_ratio_lowered_simd
-  /// on that lane's own inv_rate array.
-  void hit_ratio_lowered_block4(const PlacementLowering& lowering,
-                                const double* inv_blocked,
-                                double* ratios) const;
+  /// The hit pass: kLaneBlock (8) realizations per row walk over vertically
+  /// interleaved inverse rates (inv_blocked[link * 8 + lane]). Writes
+  /// ratios[0..8); each lane is the hit ratio of that lane's own
+  /// inverse-rate array.
+  void hit_ratios(const PlacementLowering& lowering, const double* inv_blocked,
+                  double* ratios) const;
 
   void check_placement(const core::PlacementSolution& placement) const;
 
@@ -207,6 +219,7 @@ class EvalPlan {
   support::FirstTouchArray avg_inv_rate_;  ///< 1 / C̄, +inf where the rate is 0
 
   // Request rows: user k owns [row_offsets_[k], row_offsets_[k+1]).
+  // Position-independent, thresholds included: apply_delta carries them.
   std::vector<std::size_t> row_offsets_;
   std::vector<Row> rows_;
 

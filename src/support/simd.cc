@@ -9,7 +9,6 @@
 
 #include <bit>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -18,8 +17,6 @@
 namespace trimcaching::support::simd {
 
 namespace {
-
-constexpr double kInf = std::numeric_limits<double>::infinity();
 
 // ------------------------------------------------------------ scalar backend
 
@@ -45,20 +42,7 @@ void scalar_inv_rate_from_gains(const double* bw, const double* snr,
   }
 }
 
-double scalar_min_span(const double* x, std::size_t n) {
-  double best = kInf;
-  for (std::size_t l = 0; l < n; ++l) best = std::min(best, x[l]);
-  return best;
-}
-
-double scalar_min_gather(const double* x, const std::uint32_t* idx, std::size_t n) {
-  double best = kInf;
-  for (std::size_t h = 0; h < n; ++h) best = std::min(best, x[idx[h]]);
-  return best;
-}
-
-constexpr Ops kScalarOps{scalar_rayleigh_gains, scalar_inv_rate_from_gains,
-                         scalar_min_span, scalar_min_gather};
+constexpr Ops kScalarOps{scalar_rayleigh_gains, scalar_inv_rate_from_gains};
 
 // ---------------------------------------------------------------- dispatch
 

@@ -2,10 +2,12 @@
 //
 // Every fading figure bottoms out in the same three array passes per
 // realization (sim/eval_plan.h): sample a Rayleigh power gain per link,
-// transform gains to inverse rates 1/(B·log2(1+SNR·g)), and min-reduce the
-// per-user / per-holder link spans (Eq. 4/5). This header wraps those passes
-// behind one table of entry points (`Ops`) with three interchangeable
-// backends:
+// transform gains to inverse rates 1/(B·log2(1+SNR·g)), and the hit pass
+// (per-user / per-holder min over the link spans, then one threshold
+// compare per request row for Eq. 4/5). This header wraps the first two
+// passes, whose transcendentals are where backends differ, behind one table
+// of entry points (`Ops`) with three interchangeable backends; the hit pass
+// is backend-free GCC vector code inside EvalPlan:
 //
 //   * kScalar  — plain loops over std::log/std::log2; always available and
 //     the semantic reference for the other two;
@@ -36,18 +38,15 @@
 //     log2 amplifies that when y is near 1 (log2(y) -> 0). The guarantee is
 //     therefore relative, not ULP-tight: |Δinv/inv| <= kMaxRelError, which
 //     the seeded-scenario tests gate alongside the end-to-end summaries.
-//   * min_span / min_gather are BIT-EXACT across backends for any input
-//     without NaNs (the fading arrays hold positive finites and +inf only):
-//     vector min instructions agree with std::min there, and the reduction
-//     tree of a min is order-insensitive.
 //
-// The fading hit *decision* consumes only min-reductions and comparisons,
-// so given identical inverse-rate arrays it is bit-exact on every backend;
-// end-to-end fading summaries across backends are tolerance-equal (the ULP
-// wiggle on the transform), which tests/simd_test.cc gates over seeded
-// scenarios. The scalar backend (force_backend(Backend::kScalar)) draws the
-// same counter stream and is the cross-machine reference: runs that need
-// full bit-identity across machines force it.
+// The fading hit *decision* consumes only mins and comparisons against
+// per-row thresholds, so given identical inverse-rate arrays it is
+// bit-exact on every backend; end-to-end fading summaries across backends
+// are tolerance-equal (the ULP wiggle on the transform), which
+// tests/simd_test.cc gates over seeded scenarios. The scalar backend
+// (force_backend(Backend::kScalar)) draws the same counter stream and is
+// the cross-machine reference: runs that need full bit-identity across
+// machines force it.
 #pragma once
 
 #include <cstddef>
@@ -109,12 +108,6 @@ struct Ops {
   /// zero-SNR links fall out as +inf (1/0).
   void (*inv_rate_from_gains)(const double* bw, const double* snr,
                               const double* gains, std::size_t n, double* inv);
-
-  /// min over x[0..n); +inf when n == 0. Bit-exact across backends.
-  double (*min_span)(const double* x, std::size_t n);
-
-  /// min over x[idx[0..n)]; +inf when n == 0. Bit-exact across backends.
-  double (*min_gather)(const double* x, const std::uint32_t* idx, std::size_t n);
 };
 
 /// The active backend's entry points (runtime dispatch, resolved per call so

@@ -15,9 +15,7 @@
 
 #include <immintrin.h>
 
-#include <algorithm>
 #include <cstring>
-#include <limits>
 
 namespace trimcaching::support::simd {
 
@@ -25,7 +23,6 @@ namespace {
 
 #define TRIMCACHING_AVX2 __attribute__((target("avx2,fma")))
 
-constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr std::uint64_t kMixC1 = 0xbf58476d1ce4e5b9ull;
 constexpr std::uint64_t kMixC2 = 0x94d049bb133111ebull;
 // ln2 split: hi has 20 trailing zero bits, so e * ln2_hi is exact for the
@@ -164,54 +161,9 @@ TRIMCACHING_AVX2 void avx2_inv_rate_from_gains(const double* bw, const double* s
   }
 }
 
-TRIMCACHING_AVX2 double avx2_min_span(const double* x, std::size_t n) {
-  double best = kInf;
-  std::size_t l = 0;
-  // Short spans (the common case: per-user covering sets average < 10
-  // links) are faster scalar — the horizontal reduction alone costs more
-  // than the handful of comparisons. Bit-exact either way: min is min.
-  if (n >= 8) {
-    __m256d acc = _mm256_loadu_pd(x);
-    for (l = 4; l + 4 <= n; l += 4) {
-      acc = _mm256_min_pd(acc, _mm256_loadu_pd(x + l));
-    }
-    const __m128d lo = _mm256_castpd256_pd128(acc);
-    const __m128d hi = _mm256_extractf128_pd(acc, 1);
-    const __m128d m2 = _mm_min_pd(lo, hi);
-    const __m128d m1 = _mm_min_sd(m2, _mm_unpackhi_pd(m2, m2));
-    best = _mm_cvtsd_f64(m1);
-  }
-  for (; l < n; ++l) best = std::min(best, x[l]);
-  return best;
-}
-
-TRIMCACHING_AVX2 double avx2_min_gather(const double* x, const std::uint32_t* idx,
-                                        std::size_t n) {
-  double best = kInf;
-  std::size_t h = 0;
-  // vgatherdpd only pays off on long holder lists; typical rows hold a
-  // handful of covering holders, where scalar indexed loads win outright.
-  if (n >= 12) {
-    __m256d acc = _mm256_set1_pd(kInf);
-    for (; h + 4 <= n; h += 4) {
-      const __m128i indices =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(idx + h));
-      acc = _mm256_min_pd(acc, _mm256_i32gather_pd(x, indices, 8));
-    }
-    const __m128d lo = _mm256_castpd256_pd128(acc);
-    const __m128d hi = _mm256_extractf128_pd(acc, 1);
-    const __m128d m2 = _mm_min_pd(lo, hi);
-    const __m128d m1 = _mm_min_sd(m2, _mm_unpackhi_pd(m2, m2));
-    best = _mm_cvtsd_f64(m1);
-  }
-  for (; h < n; ++h) best = std::min(best, x[idx[h]]);
-  return best;
-}
-
 #undef TRIMCACHING_AVX2
 
-constexpr Ops kAvx2Ops{avx2_rayleigh_gains, avx2_inv_rate_from_gains,
-                       avx2_min_span, avx2_min_gather};
+constexpr Ops kAvx2Ops{avx2_rayleigh_gains, avx2_inv_rate_from_gains};
 
 }  // namespace
 

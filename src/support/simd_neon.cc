@@ -13,10 +13,8 @@
 
 #include <arm_neon.h>
 
-#include <algorithm>
 #include <bit>
 #include <cstring>
-#include <limits>
 
 #include "src/support/rng.h"
 
@@ -24,7 +22,6 @@ namespace trimcaching::support::simd {
 
 namespace {
 
-constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr double kLn2Hi = 6.93147180369123816490e-01;
 constexpr double kLn2Lo = 1.90821492927058770002e-10;
 constexpr double kInvLn2 = 1.44269504088896340736;
@@ -112,28 +109,7 @@ void neon_inv_rate_from_gains(const double* bw, const double* snr,
   }
 }
 
-double neon_min_span(const double* x, std::size_t n) {
-  double best = kInf;
-  std::size_t l = 0;
-  if (n >= 2) {
-    float64x2_t acc = vld1q_f64(x);
-    for (l = 2; l + 2 <= n; l += 2) {
-      acc = vminq_f64(acc, vld1q_f64(x + l));
-    }
-    best = std::min(vgetq_lane_f64(acc, 0), vgetq_lane_f64(acc, 1));
-  }
-  for (; l < n; ++l) best = std::min(best, x[l]);
-  return best;
-}
-
-double neon_min_gather(const double* x, const std::uint32_t* idx, std::size_t n) {
-  double best = kInf;
-  for (std::size_t h = 0; h < n; ++h) best = std::min(best, x[idx[h]]);
-  return best;
-}
-
-constexpr Ops kNeonOps{neon_rayleigh_gains, neon_inv_rate_from_gains,
-                       neon_min_span, neon_min_gather};
+constexpr Ops kNeonOps{neon_rayleigh_gains, neon_inv_rate_from_gains};
 
 }  // namespace
 

@@ -11,9 +11,12 @@
 //     documented boundary (strictly-greater comparison);
 //   * the Evaluator never rebuilds on placement-only changes, consumes
 //     chaining deltas, and falls back to a rebuild when the chain breaks;
+//   * the hit pass's per-row thresholds are exact: direct_threshold and
+//     relay_threshold return the largest inverse rate the latency tests
+//     pass, over random and adversarial (payload, budget, backhaul) triples;
 //   * fading_hit_ratio is bit-identical to an independent oracle that draws
 //     the same gains but decides Eq. 4/5 straight from the placement, on the
-//     scalar and the active SIMD backend, at threads 1 and 3.
+//     scalar and the active SIMD backend, at threads 1, 3 and 4.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -41,6 +44,8 @@ using wireless::NetworkTopology;
 using wireless::Point;
 using wireless::TopologyDelta;
 using wireless::UserMove;
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
 
 ScenarioConfig varied_config(std::uint64_t seed) {
   ScenarioConfig config;
@@ -315,10 +320,102 @@ TEST(Evaluator, ConsumesChainingDeltasAndRebuildsOtherwise) {
   EXPECT_EQ(evaluator.plan_stats().builds, 3u);
 }
 
+struct ThresholdCase {
+  double payload;
+  double budget;
+  double backhaul;
+};
+
+/// Random triples in the simulator's ranges plus the adversarial corners of
+/// the threshold search.
+std::vector<ThresholdCase> threshold_cases() {
+  std::vector<ThresholdCase> cases;
+  Rng rng(2024);
+  for (int n = 0; n < 2000; ++n) {
+    cases.push_back({rng.uniform(1e6, 1e11), rng.uniform(1e-3, 2.0),
+                     rng.uniform(1e8, 1e11)});
+  }
+  for (const double payload : {8e8, 3.3e9, 1.23456789e10}) {
+    for (const double backhaul : {1e9, 10e9, 7.77e9}) {
+      const double head = payload / backhaul;
+      // Relay head within 1 ulp of the budget, on it, and above it.
+      cases.push_back({payload, std::nextafter(head, 0.0), backhaul});
+      cases.push_back({payload, head, backhaul});
+      cases.push_back({payload, std::nextafter(head, kInf), backhaul});
+      cases.push_back({payload, 0.5 * head, backhaul});
+    }
+    // budget / payload exactly a power of two.
+    for (const int e : {-60, -20, -1, 0, 1, 7, 40}) {
+      cases.push_back({payload, std::ldexp(payload, e), 10e9});
+    }
+  }
+  // Huge and subnormal quotients, and a zero payload.
+  const double max = std::numeric_limits<double>::max();
+  const double denorm = std::numeric_limits<double>::denorm_min();
+  cases.push_back({1e-300, 1e300, 10e9});
+  cases.push_back({denorm, 1.0, 10e9});
+  cases.push_back({1.0, max, 1.0});
+  cases.push_back({1e300, 1e-300, 10e9});
+  cases.push_back({2.0, std::numeric_limits<double>::min(), 10e9});
+  cases.push_back({max, denorm, 1e-300});
+  cases.push_back({0.0, 1.0, 10e9});
+  return cases;
+}
+
+/// Reference search: bisection over the bit patterns of [0, +inf] with no
+/// starting guess. Returns the largest finite x >= 0 with pass(x), or -1.
+template <typename Pass>
+double full_bisection(Pass pass) {
+  if (!pass(0.0)) return -1.0;
+  std::uint64_t lo = 0;
+  std::uint64_t hi = std::bit_cast<std::uint64_t>(kInf);
+  while (hi - lo > 1) {
+    const std::uint64_t mid = lo + (hi - lo) / 2;
+    if (pass(std::bit_cast<double>(mid))) {
+      lo = mid;
+    } else {
+      hi = mid;
+    }
+  }
+  return std::bit_cast<double>(lo);
+}
+
+template <typename Pass>
+void expect_exact_threshold(double theta, Pass pass) {
+  ASSERT_FALSE(pass(kInf)) << "+inf (no link) must never pass";
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(theta),
+            std::bit_cast<std::uint64_t>(full_bisection(pass)));
+  if (theta < 0) {
+    EXPECT_EQ(theta, -1.0);
+    EXPECT_FALSE(pass(0.0));
+    return;
+  }
+  EXPECT_TRUE(std::isfinite(theta));
+  EXPECT_TRUE(pass(theta));
+  EXPECT_FALSE(pass(std::nextafter(theta, kInf)));
+}
+
+TEST(HitThreshold, LargestInverseRateTheLatencyTestPasses) {
+  for (const ThresholdCase& c : threshold_cases()) {
+    SCOPED_TRACE(::testing::Message() << std::hexfloat << "payload " << c.payload
+                                      << " budget " << c.budget << " backhaul "
+                                      << c.backhaul);
+    // The hit test's Eq. 4 and Eq. 5 latency expressions, verbatim.
+    expect_exact_threshold(direct_threshold(c.payload, c.budget), [&](double inv) {
+      return c.payload * inv <= c.budget;
+    });
+    expect_exact_threshold(
+        relay_threshold(c.payload, c.budget, c.backhaul), [&](double inv) {
+          return c.payload / c.backhaul + c.payload * inv <= c.budget;
+        });
+  }
+}
+
 /// Independent fading oracle: per realization, the same counter-based gains
 /// and backend inverse rates as EvalPlan, but Eq. 4/5 decided per (user,
-/// model) by chasing placement.placed() over the topology's covering links —
-/// no lowering, no holder sorting, no lane blocking.
+/// model) by chasing placement.placed() over the topology's covering links
+/// with the latency arithmetic written out — no lowering, no thresholds, no
+/// lane blocking.
 support::Summary oracle_fading_hit_ratio(const Scenario& scenario,
                                          const core::PlacementSolution& placement,
                                          std::size_t realizations, const Rng& rng) {
@@ -369,8 +466,8 @@ support::Summary oracle_fading_hit_ratio(const Scenario& scenario,
 }
 
 TEST(FadingOracle, EvalPlanBitIdenticalOnEveryBackendAndThreadCount) {
-  // Realization counts mix whole 4-lane blocks and tails; threads = 3
-  // reshuffles the chunk boundaries across them.
+  // Realization counts mix whole 8-lane blocks and padded tails; threads 3
+  // and 4 reshuffle the chunk boundaries across them.
   for (std::uint64_t seed = 0; seed < 12; ++seed) {
     Rng rng(seed);
     const Scenario scenario = build_scenario(varied_config(seed), rng);
@@ -383,10 +480,10 @@ TEST(FadingOracle, EvalPlanBitIdenticalOnEveryBackendAndThreadCount) {
     const Rng fading(seed + 100);
     for (const bool scalar : {true, false}) {
       if (scalar) support::simd::force_backend(support::simd::Backend::kScalar);
-      for (const std::size_t realizations : {3u, 8u, 13u}) {
+      for (const std::size_t realizations : {1u, 7u, 8u, 9u, 16u, 23u, 41u}) {
         const support::Summary oracle =
             oracle_fading_hit_ratio(scenario, placement, realizations, fading);
-        for (const std::size_t threads : {1u, 3u}) {
+        for (const std::size_t threads : {1u, 3u, 4u}) {
           SCOPED_TRACE(::testing::Message()
                        << "seed " << seed << " scalar " << scalar << " realizations "
                        << realizations << " threads " << threads);
