@@ -81,10 +81,11 @@ int main(int argc, char** argv) {
   // fig7_*_plan_* records must survive whichever binary runs last).
   bench::merge_bench_json(
       "BENCH_runtime.json",
-      {{"fig6b_run_comparison_serial", serial_seconds, per_topology / serial_seconds,
-        1, 0.0},
-       {"fig6b_run_comparison", parallel_seconds, per_topology / parallel_seconds,
-        threads, speedup}});
+      {{"fig6b_run_comparison_serial", serial_seconds, 1,
+        {{"throughput", per_topology / serial_seconds}}},
+       {"fig6b_run_comparison", parallel_seconds, threads,
+        {{"throughput", per_topology / parallel_seconds},
+         {"speedup_vs_serial", speedup}}}});
   std::cout << "run_comparison wall: " << serial_seconds << " s serial, "
             << parallel_seconds << " s at " << threads << " threads (" << speedup
             << "x)\n";

@@ -11,7 +11,7 @@
 // (merged next to fig6b's records; bench/bench_json.h schema) as
 // fig7_<scale>_plan_full / fig7_<scale>_plan_delta, with the
 // hardware-independent full/delta ratio in plan_update_speedup for the
-// bench_diff metric=plan_update CI gate.
+// delta-path CI gate (bench/gates.txt).
 //
 //   ./fig7_mobility                      # paper scale (M=10, K=10)
 //   ./fig7_mobility scale=100x threads=8 # fig8's 100x point (M=100, K=2000,
@@ -159,20 +159,17 @@ int main(int argc, char** argv) {
             << plan_speedup << "x\n";
 
   const std::size_t threads = support::resolve_threads(mobility.threads);
-  bench::JsonRecord full_record;
-  full_record.name = "fig7_" + scale + "_plan_full";
-  full_record.wall_seconds = full_slot;
-  full_record.threads = threads;
-  full_record.plan_rebuilds = static_cast<double>(full_telemetry.plan_builds);
-  full_record.plan_deltas = static_cast<double>(full_telemetry.plan_deltas);
-  bench::JsonRecord delta_record;
-  delta_record.name = "fig7_" + scale + "_plan_delta";
-  delta_record.wall_seconds = delta_slot;
-  delta_record.threads = threads;
-  delta_record.plan_rebuilds = static_cast<double>(delta_telemetry.plan_builds);
-  delta_record.plan_deltas = static_cast<double>(delta_telemetry.plan_deltas);
-  delta_record.plan_update_speedup = plan_speedup;
-  bench::merge_bench_json("BENCH_runtime.json", {full_record, delta_record});
+  const auto plan_record = [&](const std::string& path, double slot,
+                               const sim::MobilityStudyTelemetry& telemetry) {
+    return bench::JsonRecord{
+        "fig7_" + scale + "_plan_" + path, slot, threads,
+        {{"plan_rebuilds", static_cast<double>(telemetry.plan_builds)},
+         {"plan_deltas", static_cast<double>(telemetry.plan_deltas)}}};
+  };
+  bench::JsonRecord delta_record = plan_record("delta", delta_slot, delta_telemetry);
+  if (plan_speedup > 0) delta_record.metrics["plan_update_speedup"] = plan_speedup;
+  bench::merge_bench_json("BENCH_runtime.json",
+                          {plan_record("full", full_slot, full_telemetry), delta_record});
 
   const double spec0 = spec_at.begin()->second.mean();
   const double spec_end = spec_at.rbegin()->second.mean();

@@ -38,9 +38,8 @@
 // peak at 100x drops below the in-process tiled peak, because solver
 // working memory lives in the short-lived workers. Everything lands in
 // BENCH_scale.json (bench/bench_json.h schema, incl. the hit_ratio,
-// duplication_factor and peak_rss_mb columns) for the perf trajectory and
-// tools/bench_diff regression gating (metric=speedup, metric=duplication
-// and metric=rss in CI).
+// duplication_factor and peak_rss_mb metrics) for the perf trajectory and
+// the speedup, duplication and rss gates of bench/gates.txt.
 //
 //   ./fig8_scale                        # 10x + 100x
 //   ./fig8_scale scale=2x threads=4    # CI smoke
@@ -289,12 +288,13 @@ int main(int argc, char** argv) {
       };
       const double deviation_pct = deviation_of(tiled_threaded.hit_ratio);
       const double repaired_deviation_pct = deviation_of(repaired.hit_ratio);
+      const auto speedup = [&](double wall) { return untiled_wall / std::max(1e-9, wall); };
       const auto row = [&](const std::string& variant, double wall, double hit,
-                           double speedup, double deviation, double dup,
+                           double ratio, double deviation, double dup,
                            double rss_mb) {
         table.add_row({point.name, variant, support::Table::cell(wall, 4),
                        support::Table::cell(hit, 4),
-                       speedup > 0 ? support::Table::cell(speedup, 2) : "-",
+                       ratio > 0 ? support::Table::cell(ratio, 2) : "-",
                        variant == "untiled_serial"
                            ? "-"
                            : support::Table::cell(deviation, 2),
@@ -304,56 +304,53 @@ int main(int argc, char** argv) {
       row("untiled_serial", untiled_wall, untiled_hit, 0.0, 0.0, untiled_dup,
           untiled_rss);
       row("tiled_serial", tiled_serial.wall_seconds, tiled_serial.hit_ratio,
-          untiled_wall / std::max(1e-9, tiled_serial.wall_seconds), deviation_pct,
+          speedup(tiled_serial.wall_seconds), deviation_pct,
           tiled_serial.duplication_factor, tiled_serial_rss);
       row("tiled_threaded", tiled_threaded.wall_seconds, tiled_threaded.hit_ratio,
-          untiled_wall / std::max(1e-9, tiled_threaded.wall_seconds), deviation_pct,
+          speedup(tiled_threaded.wall_seconds), deviation_pct,
           tiled_threaded.duplication_factor, tiled_threaded_rss);
       if (tiled_workers) {
         row("tiled_workers", tiled_workers->wall_seconds, tiled_workers->hit_ratio,
-            untiled_wall / std::max(1e-9, tiled_workers->wall_seconds),
-            deviation_of(tiled_workers->hit_ratio),
+            speedup(tiled_workers->wall_seconds), deviation_of(tiled_workers->hit_ratio),
             tiled_workers->duplication_factor, tiled_workers_rss);
       }
-      row("tiled_repaired", repaired_wall, repaired.hit_ratio,
-          untiled_wall / std::max(1e-9, repaired_wall), repaired_deviation_pct,
-          repaired.duplication_after, -1.0);
+      row("tiled_repaired", repaired_wall, repaired.hit_ratio, speedup(repaired_wall),
+          repaired_deviation_pct, repaired.duplication_after, -1.0);
 
       const std::string prefix = "fig8_scale_" + point.name + "_";
-      const auto record = [&](bench::JsonRecord json, double rss_mb) {
-        json.peak_rss_mb = rss_mb;
-        records.push_back(std::move(json));
+      const auto record = [&](const std::string& variant, double wall,
+                              std::size_t record_threads, bench::Metrics metrics,
+                              double rss_mb = -1.0) {
+        if (rss_mb >= 0) metrics["peak_rss_mb"] = rss_mb;
+        records.push_back({prefix + variant, wall, record_threads, std::move(metrics)});
       };
-      record({prefix + "untiled_serial", untiled_wall, 0.0, 1, 0.0, untiled_hit,
-              untiled_dup},
-             untiled_rss);
-      record({prefix + "tiled_serial", tiled_serial.wall_seconds, 0.0, 1,
-              untiled_wall / std::max(1e-9, tiled_serial.wall_seconds),
-              tiled_serial.hit_ratio, tiled_serial.duplication_factor},
+      const auto solved = [&](const sim::TiledSolveResult& result) {
+        return bench::Metrics{{"speedup_vs_serial", speedup(result.wall_seconds)},
+                              {"hit_ratio", result.hit_ratio},
+                              {"duplication_factor", result.duplication_factor}};
+      };
+      record("untiled_serial", untiled_wall, 1,
+             {{"hit_ratio", untiled_hit}, {"duplication_factor", untiled_dup}}, untiled_rss);
+      record("tiled_serial", tiled_serial.wall_seconds, 1, solved(tiled_serial),
              tiled_serial_rss);
-      record({prefix + "tiled_threaded", tiled_threaded.wall_seconds, 0.0, threads,
-              untiled_wall / std::max(1e-9, tiled_threaded.wall_seconds),
-              tiled_threaded.hit_ratio, tiled_threaded.duplication_factor},
-             tiled_threaded_rss);
+      record("tiled_threaded", tiled_threaded.wall_seconds, threads,
+             solved(tiled_threaded), tiled_threaded_rss);
       if (tiled_workers) {
-        // `threads` column carries the coordinator's degree of parallelism
-        // — for the workers variant that is the worker-process count.
-        record({prefix + "tiled_workers", tiled_workers->wall_seconds, 0.0, workers,
-                untiled_wall / std::max(1e-9, tiled_workers->wall_seconds),
-                tiled_workers->hit_ratio, tiled_workers->duplication_factor},
-               tiled_workers_rss);
+        // `threads` carries the coordinator's degree of parallelism — for
+        // the workers variant that is the worker-process count.
+        record("tiled_workers", tiled_workers->wall_seconds, workers,
+               solved(*tiled_workers), tiled_workers_rss);
       }
-      records.push_back({prefix + "tiled_repaired", repaired_wall, 0.0, threads,
-                         untiled_wall / std::max(1e-9, repaired_wall),
-                         repaired.hit_ratio, repaired.duplication_after});
-      records.push_back(
-          {prefix + "repair_engine_build", repair_build_wall, 0.0, 1, 0.0});
+      record("tiled_repaired", repaired_wall, threads,
+             {{"speedup_vs_serial", speedup(repaired_wall)},
+              {"hit_ratio", repaired.hit_ratio},
+              {"duplication_factor", repaired.duplication_after}});
+      record("repair_engine_build", repair_build_wall, 1, {});
 
       std::cout << point.name << ": untiled " << untiled_wall << " s (hit "
                 << untiled_hit << "), tiled " << tiled_threaded.wall_seconds
                 << " s at " << threads << " threads (hit "
-                << tiled_threaded.hit_ratio << ", "
-                << untiled_wall / std::max(1e-9, tiled_threaded.wall_seconds)
+                << tiled_threaded.hit_ratio << ", " << speedup(tiled_threaded.wall_seconds)
                 << "x, halo deviation " << deviation_pct << "%, "
                 << tiled_threaded.tiles_solved << " tiles), repaired +"
                 << repaired.wall_seconds << " s (hit " << repaired.hit_ratio

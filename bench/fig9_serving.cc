@@ -25,9 +25,8 @@
 //   * thread bit-identity — the top-load LRU replay is re-run at threads=5
 //     and threads=1 and every metric must match exactly (the engine shards
 //     by server, not by worker).
-// The hit_ratio column is a deterministic replay (counter-based RNG), so CI
-// gates it machine-independently via bench_diff metric=hit_ratio
-// filter=serving.
+// The hit_ratio metric is a deterministic replay (counter-based RNG), so CI
+// gates it machine-independently (bench/gates.txt).
 //
 //   ./fig9_serving              # full sweep, threads = hardware
 //   ./fig9_serving threads=4
@@ -68,6 +67,19 @@ double worst_window_hit_ratio(const serve::ServeMetrics& totals) {
     worst = std::min(worst, ratio);
   }
   return worst;
+}
+
+/// The BENCH_serving.json record of one replay: throughput in simulated
+/// requests per wall second, hit ratio, latency quantiles and served rps.
+bench::JsonRecord serving_record(std::string name, double wall, std::size_t threads,
+                                 const serve::ServeResult& result) {
+  return {std::move(name), wall, threads,
+          {{"throughput", static_cast<double>(result.totals.requests) / wall},
+           {"hit_ratio", result.hit_ratio},
+           {"p50_ms", result.p50_download_s * 1e3},
+           {"p95_ms", result.p95_download_s * 1e3},
+           {"p99_ms", result.p99_download_s * 1e3},
+           {"served_rps", result.served_rps}}};
 }
 
 }  // namespace
@@ -170,23 +182,14 @@ int main(int argc, char** argv) {
                        support::Table::cell(result.totals.merged_fetches),
                        support::Table::cell(result.served_rps, 1)});
 
-        bench::JsonRecord record;
         std::ostringstream name;
         name << "fig9_serving_" << offered << "rps_" << base;
-        record.name = name.str();
-        record.wall_seconds = wall;
-        record.throughput = static_cast<double>(result.totals.requests) / wall;
-        record.threads = threads;
-        record.hit_ratio = result.hit_ratio;
-        record.p50_ms = result.p50_download_s * 1e3;
-        record.p95_ms = result.p95_download_s * 1e3;
-        record.p99_ms = result.p99_download_s * 1e3;
-        record.served_rps = result.served_rps;
-        records.push_back(record);
+        const bench::JsonRecord& record =
+            records.emplace_back(serving_record(name.str(), wall, threads, result));
 
         std::cout << "[fig9_serving] " << record.name << ": "
                   << result.totals.requests << " requests in " << wall << " s ("
-                  << record.throughput << " req/s simulated)\n";
+                  << record.metrics.at("throughput") << " req/s simulated)\n";
       }
     }
 
@@ -225,8 +228,7 @@ int main(int argc, char** argv) {
     // checks per point: the terminal states partition the request count,
     // every reject is accounted exactly once as cloud-served, and the
     // unlimited point is bit-identical to the compute-oblivious replay. The
-    // records carry served_rps and are drop-gated by bench_diff
-    // metric=served filter=compute.
+    // records carry served_rps, drop-gated in bench/gates.txt.
     {
       const std::vector<std::size_t> slot_sweep = {0, 8, 2, 1};
       std::uint64_t rejects_at_one = 0;
@@ -263,22 +265,11 @@ int main(int argc, char** argv) {
         }
         if (slots == 1) rejects_at_one = t.compute_rejects;
 
-        bench::JsonRecord record;
-        std::ostringstream name;
-        name << "fig9_serving_compute_"
-             << (slots == 0 ? std::string("unlimited")
-                            : std::to_string(slots) + "slots");
-        record.name = name.str();
-        record.wall_seconds = wall;
-        record.throughput = static_cast<double>(t.requests) / wall;
-        record.threads = threads;
-        record.hit_ratio = result.hit_ratio;
-        record.p50_ms = result.p50_download_s * 1e3;
-        record.p95_ms = result.p95_download_s * 1e3;
-        record.p99_ms = result.p99_download_s * 1e3;
-        record.served_rps = result.served_rps;
-        records.push_back(record);
-        std::cout << "[fig9_serving] " << record.name << ": hit "
+        const std::string name =
+            "fig9_serving_compute_" +
+            (slots == 0 ? std::string("unlimited") : std::to_string(slots) + "slots");
+        records.push_back(serving_record(name, wall, threads, result));
+        std::cout << "[fig9_serving] " << name << ": hit "
                   << result.hit_ratio << ", " << t.compute_rejects
                   << " rejects -> cloud, served " << result.served_rps
                   << " rps\n";
@@ -304,8 +295,7 @@ int main(int argc, char** argv) {
     //   * the faulty replay is bit-identical at threads=5 and threads=1,
     //     including every new failure counter and the hit-ratio windows.
     // The fig9_serving_faults_* records (hit ratio, failovers, aborted,
-    // rewarm_s, worst degradation window) are drop-gated via
-    // bench_diff metric=hit_ratio filter=faults.
+    // rewarm_s, worst degradation window) are drop-gated in bench/gates.txt.
     {
       sim::FaultScheduleConfig fault_config;
       fault_config.duration_s = duration_s;
@@ -380,31 +370,19 @@ int main(int argc, char** argv) {
           failed = true;
         }
 
-        bench::JsonRecord record;
-        record.name = "fig9_serving_faults_" + base;
-        record.wall_seconds = wall;
-        record.throughput = static_cast<double>(t.requests) / wall;
-        record.threads = threads;
-        record.hit_ratio = faulty.hit_ratio;
-        record.p50_ms = faulty.p50_download_s * 1e3;
-        record.p95_ms = faulty.p95_download_s * 1e3;
-        record.p99_ms = faulty.p99_download_s * 1e3;
-        record.served_rps = faulty.served_rps;
-        record.failovers = static_cast<double>(t.failovers + t.failed_over);
-        record.aborted = static_cast<double>(t.aborted);
-        if (t.rewarms > 0) record.rewarm_s = faulty.mean_rewarm_s;
-        records.push_back(record);
+        const std::string name = "fig9_serving_faults_" + base;
+        bench::JsonRecord record = serving_record(name, wall, threads, faulty);
+        record.metrics["failovers"] = static_cast<double>(t.failovers + t.failed_over);
+        record.metrics["aborted"] = static_cast<double>(t.aborted);
+        if (t.rewarms > 0) record.metrics["rewarm_s"] = faulty.mean_rewarm_s;
+        records.push_back(std::move(record));
+        const double worst_window = worst_window_hit_ratio(t);
+        records.push_back(
+            {name + "_worst_window", wall, threads, {{"hit_ratio", worst_window}}});
 
-        bench::JsonRecord trough;
-        trough.name = "fig9_serving_faults_" + base + "_worst_window";
-        trough.wall_seconds = wall;
-        trough.threads = threads;
-        trough.hit_ratio = worst_window_hit_ratio(t);
-        records.push_back(trough);
-
-        std::cout << "[fig9_serving] " << record.name << ": hit "
+        std::cout << "[fig9_serving] " << name << ": hit "
                   << faulty.hit_ratio << " (clean " << clean.hit_ratio
-                  << "), worst window " << trough.hit_ratio << ", "
+                  << "), worst window " << worst_window << ", "
                   << t.failovers << "+" << t.failed_over << " failovers, "
                   << t.aborted << " aborted, " << t.rewarms
                   << " re-warms (mean " << faulty.mean_rewarm_s << " s)\n";

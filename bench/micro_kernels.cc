@@ -324,8 +324,9 @@ class JsonMirrorReporter : public benchmark::ConsoleReporter {
                                 ? run.real_accumulated_time /
                                       static_cast<double>(run.iterations)
                                 : run.real_accumulated_time;
-      record.throughput =
-          record.wall_seconds > 0 ? 1.0 / record.wall_seconds : 0.0;
+      if (record.wall_seconds > 0) {
+        record.metrics["throughput"] = 1.0 / record.wall_seconds;
+      }
       record.threads = static_cast<std::size_t>(run.threads);
       records.push_back(std::move(record));
     }
@@ -346,8 +347,8 @@ int main(int argc, char** argv) {
 
   // Derived hardware-independent ratios: the fading kernel on the scalar
   // backend over the active one on the same arena, carried in
-  // speedup_vs_serial so the CI ratio gate (bench_diff metric=speedup
-  // min_ratio=) can pin the vector backend's floor. Only emitted when the
+  // speedup_vs_serial so the CI ratio gate (bench/gates.txt) can pin the
+  // vector backend's floor. Only emitted when the
   // source rows ran (benchmark_filter).
   struct RatioSpec {
     const char* name;
@@ -368,13 +369,9 @@ int main(int argc, char** argv) {
     const double scalar = wall_of(spec.scalar);
     const double active = wall_of(spec.active);
     if (scalar <= 0 || active <= 0) continue;
-    trimcaching::bench::JsonRecord record;
-    record.name = spec.name;
-    record.wall_seconds = active;
-    record.throughput = 1.0 / active;
-    record.threads = 1;
-    record.speedup_vs_serial = scalar / active;
-    reporter.records.push_back(std::move(record));
+    reporter.records.push_back(
+        {spec.name, active, 1,
+         {{"throughput", 1.0 / active}, {"speedup_vs_serial", scalar / active}}});
   }
 
   trimcaching::bench::write_bench_json("BENCH_micro.json", reporter.records);
