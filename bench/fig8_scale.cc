@@ -18,13 +18,8 @@
 //   * tiled threaded   — the same tiler at threads=N (tile-level fan-out);
 //   * tiled repaired   — the threaded stitch plus the PlacementRepair
 //                        cross-tile pass (global dedup of halo duplicates +
-//                        marginal-gain refill of the freed capacity);
-//   * tiled workers    — with workers=N: the same tiler solving each tile
-//                        in a spawned worker *process* (sim/tiler.h
-//                        distributed mode), the single-host memory-ceiling
-//                        escape hatch.
-// Tiled and repaired results must be bit-identical across thread counts,
-// and the workers variant bit-identical to the in-process tiled solve
+//                        marginal-gain refill of the freed capacity).
+// Tiled and repaired results must be bit-identical across thread counts
 // (checked; a mismatch fails the run); the tiled-vs-untiled hit-ratio
 // deviation — the halo approximation error — and the placement duplication
 // factor (placements per distinct cached model; the raw stitch re-caches
@@ -34,23 +29,18 @@
 // Each solve variant additionally samples its own peak resident set
 // (support/resource.h RssSampler, with release_freed_memory() between
 // variants so one variant's freed pages do not inflate the next variant's
-// watermark): the distributed mode's whole point is that the *coordinator*
-// peak at 100x drops below the in-process tiled peak, because solver
-// working memory lives in the short-lived workers. Everything lands in
-// BENCH_scale.json (bench/bench_json.h schema, incl. the hit_ratio,
-// duplication_factor and peak_rss_mb metrics) for the perf trajectory and
-// the speedup, duplication and rss gates of bench/gates.txt.
+// watermark): at 100x the serial tiled peak sits well below the untiled
+// one, because no tile's hit lists approach the full problem's. Everything
+// lands in BENCH_scale.json (bench/bench_json.h schema, incl. the
+// hit_ratio, duplication_factor and peak_rss_mb metrics) for the perf
+// trajectory and the speedup and duplication gates of bench/gates.txt.
 //
 //   ./fig8_scale                        # 10x + 100x
 //   ./fig8_scale scale=2x threads=4    # CI smoke
 //   ./fig8_scale scale=10x,100x reps=3
-//   ./fig8_scale scale=100x workers=4  # distributed tiles (CI memory gate);
-//                                      # worker_bin= overrides
-//                                      # $TRIMCACHING_WORKER_BIN
 #include <algorithm>
 #include <chrono>
 #include <iostream>
-#include <optional>
 #include <sstream>
 #include <vector>
 
@@ -122,11 +112,9 @@ bool same_placements(const core::PlacementSolution& a,
 int main(int argc, char** argv) {
   try {
     const auto options = support::Options::parse(argc, argv);
-    options.check_unknown({"threads", "scale", "reps", "workers", "worker_bin"});
+    options.check_unknown({"threads", "scale", "reps"});
     const std::size_t threads = support::resolve_threads(sim::threads_option(options));
     const std::size_t reps = std::max<std::size_t>(1, options.get_size("reps", 2));
-    const std::size_t workers = options.get_size("workers", 0);
-    const std::string worker_bin = options.get_string("worker_bin", "");
     const auto wanted = split_csv(options.get_string("scale", "10x,100x"));
 
     std::vector<ScalePoint> points;
@@ -141,9 +129,8 @@ int main(int argc, char** argv) {
       points.push_back(*it);
     }
 
-    std::cout << "[fig8_scale] " << sim::describe_threads(threads) << ", reps=" << reps;
-    if (workers > 0) std::cout << ", workers=" << workers;
-    std::cout << "\n";
+    std::cout << "[fig8_scale] " << sim::describe_threads(threads) << ", reps=" << reps
+              << "\n";
     support::Table table({"scale", "variant", "wall_s", "hit_ratio",
                           "speedup_vs_untiled", "halo_deviation_pct", "dup_factor",
                           "peak_rss_mb"});
@@ -224,37 +211,6 @@ int main(int argc, char** argv) {
         return 1;
       }
 
-      // Distributed tiles (workers=N): tile solves offloaded to spawned
-      // worker processes, the coordinator keeping only one serialized view
-      // in flight at a time. Must reproduce the in-process tiled solve bit
-      // for bit; its sampled peak is the memory-ceiling headline number.
-      std::optional<sim::TiledSolveResult> tiled_workers;
-      double tiled_workers_rss = -1.0;
-      if (workers > 0) {
-        sim::TilerConfig workers_config = tiler_config;
-        workers_config.workers = workers;
-        workers_config.worker_bin = worker_bin;
-        const sim::ScenarioTiler distributed(scenario, workers_config);
-        support::release_freed_memory();
-        support::RssSampler workers_sampler;
-        tiled_workers = distributed.solve("gen", 42);
-        for (std::size_t r = 1; r < reps; ++r) {
-          auto again = distributed.solve("gen", 42);
-          if (again.wall_seconds < tiled_workers->wall_seconds) {
-            *tiled_workers = std::move(again);
-          }
-        }
-        tiled_workers_rss = workers_sampler.stop_and_peak_mb();
-        if (tiled_workers->hit_ratio != tiled_serial.hit_ratio ||
-            !same_placements(tiled_workers->placement, tiled_serial.placement)) {
-          std::cerr << "fig8_scale: workers=" << workers
-                    << " solve not bit-identical to the in-process tiled "
-                       "solve at "
-                    << point.name << "\n";
-          return 1;
-        }
-      }
-
       // Cross-tile repair on the stitched placement, serial and threaded.
       // The engine's one-time global-problem build is amortized across
       // repair() calls (mirroring how the tiler itself is constructed once
@@ -309,11 +265,6 @@ int main(int argc, char** argv) {
       row("tiled_threaded", tiled_threaded.wall_seconds, tiled_threaded.hit_ratio,
           speedup(tiled_threaded.wall_seconds), deviation_pct,
           tiled_threaded.duplication_factor, tiled_threaded_rss);
-      if (tiled_workers) {
-        row("tiled_workers", tiled_workers->wall_seconds, tiled_workers->hit_ratio,
-            speedup(tiled_workers->wall_seconds), deviation_of(tiled_workers->hit_ratio),
-            tiled_workers->duplication_factor, tiled_workers_rss);
-      }
       row("tiled_repaired", repaired_wall, repaired.hit_ratio, speedup(repaired_wall),
           repaired_deviation_pct, repaired.duplication_after, -1.0);
 
@@ -335,12 +286,6 @@ int main(int argc, char** argv) {
              tiled_serial_rss);
       record("tiled_threaded", tiled_threaded.wall_seconds, threads,
              solved(tiled_threaded), tiled_threaded_rss);
-      if (tiled_workers) {
-        // `threads` carries the coordinator's degree of parallelism — for
-        // the workers variant that is the worker-process count.
-        record("tiled_workers", tiled_workers->wall_seconds, workers,
-               solved(*tiled_workers), tiled_workers_rss);
-      }
       record("tiled_repaired", repaired_wall, threads,
              {{"speedup_vs_serial", speedup(repaired_wall)},
               {"hit_ratio", repaired.hit_ratio},
@@ -360,12 +305,6 @@ int main(int argc, char** argv) {
                 << repaired.duplicates_evicted << " evicted, "
                 << repaired.models_added << " added; one-time engine build "
                 << repair_build_wall << " s, amortized)\n";
-      if (tiled_workers) {
-        std::cout << "  workers=" << workers << ": " << tiled_workers->wall_seconds
-                  << " s, coordinator peak " << tiled_workers_rss
-                  << " MB vs in-process tiled " << tiled_threaded_rss
-                  << " MB (untiled " << untiled_rss << " MB)\n";
-      }
     }
 
     sim::emit_experiment(

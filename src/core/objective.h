@@ -32,7 +32,7 @@ namespace trimcaching::core {
 /// compute headroom to run the expected inference load p_{k,i} · c_{k,i}.
 ///
 /// Which holder serves which request is pinned by the *canonical assignment*
-/// so every implementation (core, sim::EvalPlan, tiled, worker processes)
+/// so every implementation (core, sim::EvalPlan, tiled)
 /// agrees bit for bit: walk servers m in ascending id order, models i in
 /// ascending id order where x_{m,i} = 1, then the (m, i) hit list in
 /// ascending user order; serve a still-uncovered pair iff

@@ -51,17 +51,6 @@ PlacementProblem::PlacementProblem(const wireless::NetworkTopology& topology,
                                    const workload::RequestModel& requests,
                                    std::vector<ServerId> servers,
                                    std::vector<UserId> users)
-    : PlacementProblem(topology, library, requests, std::move(servers),
-                       std::move(users), LinksOnly{}) {
-  hit_lists_built_ = true;
-  build_hit_lists();
-}
-
-PlacementProblem::PlacementProblem(const wireless::NetworkTopology& topology,
-                                   const model::ModelLibrary& library,
-                                   const workload::RequestModel& requests,
-                                   std::vector<ServerId> servers,
-                                   std::vector<UserId> users, LinksOnly)
     : topology_(&topology),
       library_(&library),
       requests_(&requests),
@@ -70,8 +59,7 @@ PlacementProblem::PlacementProblem(const wireless::NetworkTopology& topology,
       num_models_(library.num_models()),
       is_view_(true),
       server_ids_(std::move(servers)),
-      user_ids_(std::move(users)),
-      hit_lists_built_(false) {
+      user_ids_(std::move(users)) {
   if (!library.finalized()) {
     throw std::invalid_argument("PlacementProblem: library must be finalized");
   }
@@ -82,81 +70,16 @@ PlacementProblem::PlacementProblem(const wireless::NetworkTopology& topology,
   check_subset(server_ids_, topology.num_servers(), "server");
   check_subset(user_ids_, topology.num_users(), "user");
   build_links();
-}
-
-PlacementProblem::PlacementProblem(OwnedProblemData data)
-    : topology_(nullptr),
-      requests_(nullptr),
-      num_servers_(data.server_ids.size()),
-      num_users_(data.user_ids.size()),
-      num_models_(data.library.num_models()),
-      is_view_(true),
-      server_ids_(std::move(data.server_ids)),
-      user_ids_(std::move(data.user_ids)) {
-  if (!data.library.finalized()) {
-    throw std::invalid_argument("PlacementProblem: owned library must be finalized");
-  }
-  if (num_servers_ == 0 || num_users_ == 0) {
-    throw std::invalid_argument("PlacementProblem: empty owned server or user set");
-  }
-  if (data.requests.num_users() != num_users_ ||
-      data.requests.num_models() != num_models_) {
-    throw std::invalid_argument(
-        "PlacementProblem: owned request model dimensions mismatch");
-  }
-  if (data.capacities.size() != num_servers_ ||
-      data.inv_eff.size() != num_servers_ * num_users_ ||
-      data.assoc.size() != num_servers_ * num_users_) {
-    throw std::invalid_argument("PlacementProblem: owned link array dimensions mismatch");
-  }
-  if (!(data.backhaul_bps > 0)) {
-    throw std::invalid_argument("PlacementProblem: owned backhaul_bps must be > 0");
-  }
-  if (!data.compute_capacities.empty() &&
-      data.compute_capacities.size() != num_servers_) {
-    throw std::invalid_argument(
-        "PlacementProblem: owned compute capacity dimensions mismatch");
-  }
-  backhaul_bps_ = data.backhaul_bps;
-  inv_eff_ = std::move(data.inv_eff);
-  assoc_ = std::move(data.assoc);
-  data.server_ids = server_ids_;  // keep the bundle self-describing
-  data.user_ids = user_ids_;
-  owned_ = std::make_shared<const OwnedProblemData>(std::move(data));
-  library_ = &owned_->library;
-  requests_ = &owned_->requests;
-  payload_bits_.resize(num_models_);
-  for (ModelId i = 0; i < num_models_; ++i) {
-    payload_bits_[i] = support::bits(library_->model_size(i));
-  }
-  snapshot_compute_capacities();
   build_hit_lists();
-}
-
-const wireless::NetworkTopology& PlacementProblem::topology() const {
-  if (!topology_) {
-    throw std::logic_error(
-        "PlacementProblem::topology: owning instance has no topology behind it");
-  }
-  return *topology_;
-}
-
-void PlacementProblem::snapshot_compute_capacities() {
-  compute_constrained_ = false;
-  compute_caps_.assign(num_servers_, kInf);
-  for (std::size_t m = 0; m < num_servers_; ++m) {
-    const double cap = owned_ ? (owned_->compute_capacities.empty()
-                                     ? kInf
-                                     : owned_->compute_capacities.at(m))
-                              : topology_->compute_capacity(server_ids_[m]);
-    compute_caps_[m] = cap;
-    if (cap != kInf) compute_constrained_ = true;
-  }
 }
 
 void PlacementProblem::build_links() {
   backhaul_bps_ = topology_->radio().backhaul_bps;
-  snapshot_compute_capacities();
+  compute_caps_.resize(num_servers_);
+  for (std::size_t m = 0; m < num_servers_; ++m) {
+    compute_caps_[m] = topology_->compute_capacity(server_ids_[m]);
+    if (compute_caps_[m] != kInf) compute_constrained_ = true;
+  }
   payload_bits_.resize(num_models_);
   for (ModelId i = 0; i < num_models_; ++i) {
     payload_bits_[i] = support::bits(library_->model_size(i));
@@ -207,12 +130,12 @@ void PlacementProblem::build_hit_lists() {
   total_mass_ = 0.0;
   reachable_mass_ = 0.0;
   for (std::size_t k = 0; k < num_users_; ++k) {
-    const UserId rk = request_user(static_cast<UserId>(k));
+    const UserId gk = global_user(static_cast<UserId>(k));
     rows.clear();
-    for (const ModelId i : requests_->requested_models(rk)) {
-      const double p = requests_->probability(rk, i);
+    for (const ModelId i : requests_->requested_models(gk)) {
+      const double p = requests_->probability(gk, i);
       total_mass_ += p;
-      const double budget = requests_->deadline_s(rk, i) - requests_->inference_s(rk, i);
+      const double budget = requests_->deadline_s(gk, i) - requests_->inference_s(gk, i);
       if (budget <= 0) continue;
       rows.push_back(Row{i, p, payload_bits_[i], budget});
     }
@@ -243,8 +166,8 @@ bool PlacementProblem::eligible(ServerId m, UserId k, ModelId i) const {
   if (m >= num_servers_ || k >= num_users_ || i >= num_models_) {
     throw std::out_of_range("PlacementProblem::eligible");
   }
-  const UserId rk = request_user(k);
-  const double budget = requests_->deadline_s(rk, i) - requests_->inference_s(rk, i);
+  const UserId gk = global_user(k);
+  const double budget = requests_->deadline_s(gk, i) - requests_->inference_s(gk, i);
   if (budget <= 0) return false;
   const double inv = inv_eff_[static_cast<std::size_t>(m) * num_users_ + k];
   if (inv == kInf) return false;
@@ -268,11 +191,6 @@ std::span<const char> PlacementProblem::associations(ServerId m) const {
 }
 
 std::span<const HitEntry> PlacementProblem::hit_list(ServerId m, ModelId i) const {
-  if (!hit_lists_built_) {
-    throw std::logic_error(
-        "PlacementProblem::hit_list: LinksOnly view has no hit lists — it only "
-        "serializes");
-  }
   if (m >= num_servers_ || i >= num_models_) {
     throw std::out_of_range("PlacementProblem::hit_list");
   }

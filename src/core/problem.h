@@ -24,20 +24,8 @@
 //
 // The problem borrows (does not own) topology / library / requests; keep
 // them alive for the problem's lifetime (sim::Scenario does).
-//
-// Owning instances (the distributed tile path, io/tile_codec.h): the third
-// constructor rebuilds a problem from a self-contained OwnedProblemData
-// bundle — a tile-local library / request model / capacities plus the
-// precomputed per-(m, k) link arrays — with *no* topology behind it. That is
-// what a worker process deserializes: the link arrays already encode the
-// global association and best-relay rates, so the rebuilt hit lists (and
-// hence every solver decision) are bit-identical to the borrowed sub-view
-// the coordinator serialized. request_user() is the one indexing seam: the
-// owned request model is tile-local (row k belongs to local user k), while
-// borrowed views index the shared global model via global_user().
 #pragma once
 
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -52,25 +40,6 @@ namespace trimcaching::core {
 struct HitEntry {
   UserId user = 0;  ///< view-local user id
   double mass = 0.0;  ///< p_{k,i}
-};
-
-/// Everything an owning PlacementProblem needs, with no topology behind it.
-/// Produced by io::parse_tile_view from the binary tile format; the library
-/// and request model are tile-local copies, the link arrays are the exact
-/// per-(m, k) values the coordinator's borrowed sub-view computed from the
-/// global topology (so relays through out-of-view servers stay priced in).
-struct OwnedProblemData {
-  model::ModelLibrary library;          ///< finalized
-  workload::RequestModel requests;      ///< tile-local: row k = local user k
-  std::vector<ServerId> server_ids;     ///< local -> global, strictly increasing
-  std::vector<UserId> user_ids;         ///< local -> global, strictly increasing
-  std::vector<support::Bytes> capacities;  ///< per local server
-  /// Per-local-server inference compute capacities; empty = unlimited (the
-  /// storage-only problem). Serialized as the codec-v2 optional section.
-  std::vector<double> compute_capacities;
-  double backhaul_bps = 0.0;
-  std::vector<double> inv_eff;          ///< M x K, row-major; +inf = no path
-  std::vector<char> assoc;              ///< M x K, 1 = direct association
 };
 
 class PlacementProblem {
@@ -89,59 +58,29 @@ class PlacementProblem {
                    const workload::RequestModel& requests,
                    std::vector<ServerId> servers, std::vector<UserId> users);
 
-  /// Tag for a links-only sub-view: per-(m, k) link arrays are built, the
-  /// per-(m, i) hit lists — the dominant allocation by far — are not. Enough
-  /// for io::serialize_tile_view (which ships only links + raw request rows;
-  /// the worker rebuilds hit lists from the bundle), useless for solvers:
-  /// hit_list() throws, total_mass() / reachable_mass() read 0. This is what
-  /// keeps the distributed-tile coordinator's footprint below the in-process
-  /// solve — it never materializes any tile's hit lists.
-  struct LinksOnly {};
-  PlacementProblem(const wireless::NetworkTopology& topology,
-                   const model::ModelLibrary& library,
-                   const workload::RequestModel& requests,
-                   std::vector<ServerId> servers, std::vector<UserId> users,
-                   LinksOnly);
-
-  /// Owning instance over a self-contained data bundle (no topology): the
-  /// deserialized-tile path of the out-of-process solver workers. Hit lists
-  /// are rebuilt from the bundle's link arrays with the exact arithmetic of
-  /// the borrowed constructors, so solver outcomes are bit-identical.
-  explicit PlacementProblem(OwnedProblemData data);
-
   [[nodiscard]] std::size_t num_servers() const noexcept { return num_servers_; }
   [[nodiscard]] std::size_t num_users() const noexcept { return num_users_; }
   [[nodiscard]] std::size_t num_models() const noexcept { return num_models_; }
 
   /// True when this instance is a server/user sub-view.
   [[nodiscard]] bool is_view() const noexcept { return is_view_; }
-  /// True when this instance owns its data (deserialized tile, no topology).
-  [[nodiscard]] bool owns_data() const noexcept { return owned_ != nullptr; }
   /// Global topology id of view-local server m (identity on full instances).
   [[nodiscard]] ServerId global_server(ServerId m) const { return server_ids_.at(m); }
   /// Global topology id of view-local user k (identity on full instances).
   [[nodiscard]] UserId global_user(UserId k) const { return user_ids_.at(k); }
 
-  /// Row of view-local user k inside requests(): global_user(k) for borrowed
-  /// instances (the request model is the shared global one), k itself for
-  /// owning instances (the model is tile-local). Every requests() access
-  /// must index through this, never through global_user() directly.
-  [[nodiscard]] UserId request_user(UserId k) const {
-    return owned_ ? k : global_user(k);
+  [[nodiscard]] const wireless::NetworkTopology& topology() const noexcept {
+    return *topology_;
   }
-
-  /// The backing topology. Throws std::logic_error on owning instances —
-  /// a deserialized tile has no topology behind it.
-  [[nodiscard]] const wireless::NetworkTopology& topology() const;
   [[nodiscard]] const model::ModelLibrary& library() const noexcept { return *library_; }
-  /// The request model. NOTE: index it with request_user(), not raw local
-  /// ids — borrowed instances share the *global* model.
+  /// The request model. NOTE: index it with global_user(), not raw local
+  /// ids — views share the *global* model.
   [[nodiscard]] const workload::RequestModel& requests() const noexcept {
     return *requests_;
   }
 
   [[nodiscard]] support::Bytes capacity(ServerId m) const {
-    return owned_ ? owned_->capacities.at(m) : topology_->capacity(global_server(m));
+    return topology_->capacity(global_server(m));
   }
 
   /// Per-server inference compute capacity C_m (abstract units); +inf for
@@ -161,12 +100,12 @@ class PlacementProblem {
   /// (abstract units). The expected load a served request adds to its
   /// holder's budget is p_{k,i} · c_{k,i}.
   [[nodiscard]] double compute_cost(UserId k, ModelId i) const {
-    return requests_->compute_cost(request_user(k), i);
+    return requests_->compute_cost(global_user(k), i);
   }
 
   /// p_{k,i} for view-local user k.
   [[nodiscard]] double request_probability(UserId k, ModelId i) const {
-    return requests_->probability(request_user(k), i);
+    return requests_->probability(global_user(k), i);
   }
 
   /// I1(m,k,i): can server m serve user k's request for model i in time?
@@ -185,11 +124,7 @@ class PlacementProblem {
   [[nodiscard]] double payload_bits(ModelId i) const { return payload_bits_.at(i); }
   [[nodiscard]] double backhaul_bps() const noexcept { return backhaul_bps_; }
 
-  /// True unless this is a LinksOnly serialization view.
-  [[nodiscard]] bool has_hit_lists() const noexcept { return hit_lists_built_; }
-
   /// Users servable by placing model i on server m, with their request mass.
-  /// Throws std::logic_error on LinksOnly views.
   [[nodiscard]] std::span<const HitEntry> hit_list(ServerId m, ModelId i) const;
 
   /// Σ_k Σ_i p_{k,i} over this instance's users — the denominator of U(X).
@@ -202,15 +137,10 @@ class PlacementProblem {
  private:
   void build_links();
   void build_hit_lists();
-  void snapshot_compute_capacities();
 
-  const wireless::NetworkTopology* topology_;  // null on owning instances
+  const wireless::NetworkTopology* topology_;
   const model::ModelLibrary* library_;
   const workload::RequestModel* requests_;
-  // Owning instances keep their data bundle alive here (library_ / requests_
-  // point into it); shared_ptr keeps the problem copyable — the bundle is
-  // immutable after construction.
-  std::shared_ptr<const OwnedProblemData> owned_;
 
   std::size_t num_servers_;
   std::size_t num_users_;
@@ -234,7 +164,6 @@ class PlacementProblem {
   bool compute_constrained_ = false;
 
   std::vector<std::vector<HitEntry>> hit_lists_;    // per (m, i)
-  bool hit_lists_built_ = true;                     // false on LinksOnly views
   double total_mass_ = 0.0;
   double reachable_mass_ = 0.0;
 };

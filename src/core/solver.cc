@@ -31,7 +31,7 @@ SolverOutcome Solver::run(const PlacementProblem& problem,
   SolverOutcome outcome = solve(problem, context);
   const auto stop = std::chrono::steady_clock::now();
   outcome.wall_seconds = std::chrono::duration<double>(stop - start).count();
-  if (problem.compute_constrained() && problem.has_hit_lists()) {
+  if (problem.compute_constrained()) {
     // Honesty seam of the joint objective: whatever an algorithm's internal
     // (greedy-order) bookkeeping claimed, the reported score is the canonical
     // compute-feasible assignment of the final placement.

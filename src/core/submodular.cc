@@ -55,12 +55,12 @@ RefillStats greedy_refill(const PlacementProblem& problem, CountedCoverage& cove
   std::vector<UncoveredPair> pairs;
   const workload::RequestModel& requests = problem.requests();
   for (UserId k = 0; k < problem.num_users(); ++k) {
-    const UserId rk = problem.request_user(k);
-    for (const ModelId i : requests.requested_models(rk)) {
+    const UserId gk = problem.global_user(k);
+    for (const ModelId i : requests.requested_models(gk)) {
       if (coverage.covered(k, i)) continue;
-      const double budget = requests.deadline_s(rk, i) - requests.inference_s(rk, i);
+      const double budget = requests.deadline_s(gk, i) - requests.inference_s(gk, i);
       if (budget <= 0) continue;  // mirrors the hit-list construction
-      pairs.push_back(UncoveredPair{k, i, requests.probability(rk, i),
+      pairs.push_back(UncoveredPair{k, i, requests.probability(gk, i),
                                     problem.payload_bits(i), budget});
     }
   }

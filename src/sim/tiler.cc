@@ -1,19 +1,12 @@
 #include "src/sim/tiler.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <optional>
 #include <stdexcept>
-#include <sys/stat.h>
-#include <unistd.h>
+#include <string>
 
 #include "src/core/solver_registry.h"
-#include "src/io/tile_codec.h"
-#include "src/sim/tile_worker_pool.h"
 #include "src/support/parallel.h"
 #include "src/support/timing.h"
 #include "src/wireless/spatial_grid.h"
@@ -47,154 +40,6 @@ TileStitch reduce_outcome(const core::SolverOutcome& outcome) {
   return stitch;
 }
 
-/// The worker binary: explicit config knob, else $TRIMCACHING_WORKER_BIN
-/// (CMake exports it into the test environment).
-std::string resolve_worker_bin(const TilerConfig& config) {
-  if (!config.worker_bin.empty()) return config.worker_bin;
-  if (const char* env = std::getenv("TRIMCACHING_WORKER_BIN"); env && *env) {
-    return env;
-  }
-  throw std::runtime_error(
-      "ScenarioTiler: workers > 0 needs a worker binary — set "
-      "TilerConfig::worker_bin or $TRIMCACHING_WORKER_BIN");
-}
-
-struct ScratchDir {
-  std::string path;
-  bool created = false;  ///< mkdtemp'd by us: remove the directory afterwards
-};
-
-ScratchDir resolve_scratch_dir(const TilerConfig& config) {
-  if (!config.scratch_dir.empty()) {
-    if (::mkdir(config.scratch_dir.c_str(), 0755) != 0 && errno != EEXIST) {
-      const int err = errno;
-      throw std::runtime_error("ScenarioTiler: cannot create scratch_dir " +
-                               config.scratch_dir + ": " + std::strerror(err));
-    }
-    return ScratchDir{config.scratch_dir, false};
-  }
-  // $TMPDIR is honored only when it names a writable, searchable directory —
-  // a stale or read-only value falls back to /tmp with a warning instead of
-  // surfacing a raw mkdtemp errno later.
-  std::string base = "/tmp";
-  if (const char* tmp = std::getenv("TMPDIR"); tmp && *tmp) {
-    struct ::stat st;
-    if (::stat(tmp, &st) == 0 && S_ISDIR(st.st_mode) &&
-        ::access(tmp, W_OK | X_OK) == 0) {
-      base = tmp;
-    } else {
-      std::fprintf(stderr,
-                   "[tiler/workers] ignoring $TMPDIR=%s (not a writable "
-                   "directory); falling back to /tmp\n",
-                   tmp);
-    }
-  }
-  std::string templ = base + "/trimcaching-tiles-XXXXXX";
-  if (::mkdtemp(templ.data()) == nullptr) {
-    const int err = errno;
-    throw std::runtime_error(
-        "ScenarioTiler: cannot create a scratch directory under " + base + ": " +
-        std::strerror(err));
-  }
-  return ScratchDir{templ, true};
-}
-
-/// Removes the per-tile view/result files (and a tiler-created scratch
-/// directory) when the fan-out exits — including the exception paths out of
-/// serialization, the pool run, and the in-process fallback, which previously
-/// leaked every job file written so far.
-struct ScratchCleanup {
-  const std::vector<WorkerJob>* jobs;
-  const ScratchDir* scratch;
-  ~ScratchCleanup() {
-    for (const WorkerJob& job : *jobs) {
-      (void)::unlink(job.view_path.c_str());
-      (void)::unlink(job.result_path.c_str());
-    }
-    if (scratch->created) (void)::rmdir(scratch->path.c_str());
-  }
-};
-
-/// The workers=N tile fan-out. Streams each tile sub-view to disk one at a
-/// time (never holding two views at once — the coordinator-memory win), runs
-/// the worker pool over the files, parses the results, and solves any
-/// permanently-failed tile in-process with the same counter-based seed. Only
-/// the tiler's public surface is consumed.
-void solve_tiles_distributed(const ScenarioTiler& tiler, const TilerConfig& config,
-                             const std::string& solver_spec,
-                             const support::Rng& master, double time_budget_s,
-                             std::vector<std::optional<TileStitch>>& stitches,
-                             std::vector<TileAttempt>& attempt_log) {
-  const std::string worker_bin = resolve_worker_bin(config);
-  const ScratchDir scratch = resolve_scratch_dir(config);
-  const std::vector<Tile>& tiles = tiler.tiles();
-
-  std::vector<WorkerJob> jobs;
-  const ScratchCleanup cleanup{&jobs, &scratch};
-  for (std::size_t t = 0; t < tiles.size(); ++t) {
-    if (tiles[t].servers.empty() || tiles[t].users.empty()) continue;
-    io::TileViewHeader header;
-    header.algo = solver_spec;
-    header.threads = 1;  // provenance; workers solve one tile each
-    header.tile_index = static_cast<std::uint32_t>(t);
-    header.solver_seed = master.at(kTileStream, t).seed();
-    header.time_budget_s = time_budget_s > 0 ? time_budget_s : -1.0;
-    WorkerJob job;
-    job.tile = t;
-    job.view_path = scratch.path + "/tile_" + std::to_string(t) + ".view";
-    job.result_path = scratch.path + "/tile_" + std::to_string(t) + ".result";
-    {
-      // Build, serialize, release: exactly one tile sub-view is live here,
-      // and it is links-only — the coordinator never pays for hit lists.
-      const core::PlacementProblem problem = tiler.tile_link_view(t);
-      io::write_tile_view(job.view_path, header, problem);
-    }
-    jobs.push_back(std::move(job));
-  }
-
-  WorkerPoolConfig pool_config;
-  pool_config.workers = config.workers;
-  pool_config.worker_bin = worker_bin;
-  pool_config.timeout_s = config.worker_timeout_s;
-  pool_config.retries = config.worker_retries;
-  pool_config.log = [](const std::string& message) {
-    std::fprintf(stderr, "[tiler/workers] %s\n", message.c_str());
-  };
-  TileWorkerPool pool(pool_config);
-  WorkerRunReport report = pool.run_report(jobs);
-  const std::vector<bool>& ok = report.ok;
-  attempt_log = std::move(report.attempts);
-
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
-    const std::size_t t = jobs[j].tile;
-    if (ok[j]) {
-      try {
-        const io::TileResult result = io::read_tile_result(jobs[j].result_path);
-        const core::PlacementSolution& local = result.outcome.placement;
-        if (result.tile_index != t ||
-            local.num_servers() != tiles[t].servers.size()) {
-          throw std::invalid_argument("tile result does not match tile " +
-                                      std::to_string(t));
-        }
-        stitches[t] = reduce_outcome(result.outcome);
-        continue;
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "[tiler/workers] tile %zu: bad result (%s) — "
-                             "in-process fallback\n",
-                     t, e.what());
-      }
-    }
-    // Crash/timeout/corruption fallback: same seed, same solver, in this
-    // process — bit-identical to a successful worker, so failures never
-    // change results.
-    const core::PlacementProblem problem = tiler.tile_problem(t);
-    const auto solver = core::SolverRegistry::instance().make(solver_spec);
-    core::SolverContext context(master.at(kTileStream, t));
-    if (time_budget_s > 0) context.set_deadline_after(time_budget_s);
-    stitches[t] = reduce_outcome(solver->run(problem, context));
-  }
-}
-
 }  // namespace
 
 void TilerConfig::validate() const {
@@ -214,9 +59,6 @@ void TilerConfig::validate() const {
     throw std::invalid_argument(
         "TilerConfig: repair_tolerance must be finite and >= 0");
   }
-  if (std::isnan(worker_timeout_s) || std::isinf(worker_timeout_s)) {
-    throw std::invalid_argument("TilerConfig: worker_timeout_s must be finite");
-  }
 }
 
 ScenarioTiler::ScenarioTiler(const Scenario& scenario, TilerConfig config)
@@ -230,6 +72,17 @@ ScenarioTiler::ScenarioTiler(const Scenario& scenario, TilerConfig config)
   const std::size_t num_users = topology.num_users();
 
   if (config_.tiles_x > 0) {
+    // More tiles per axis than servers only adds empty tiles, and an
+    // unchecked tiles_x * tiles_y can wrap to a grid smaller than its axes.
+    const auto check_axis = [num_servers](const char* name, std::size_t value) {
+      if (value > num_servers) {
+        throw std::invalid_argument(
+            std::string("TilerConfig: ") + name + " = " + std::to_string(value) +
+            " exceeds the scenario's " + std::to_string(num_servers) + " servers");
+      }
+    };
+    check_axis("tiles_x", config_.tiles_x);
+    check_axis("tiles_y", config_.tiles_y);
     tiles_x_ = config_.tiles_x;
     tiles_y_ = config_.tiles_y;
   } else {
@@ -307,16 +160,6 @@ core::PlacementProblem ScenarioTiler::tile_problem(std::size_t t) const {
                                 scenario_->requests, tile.servers, tile.users);
 }
 
-core::PlacementProblem ScenarioTiler::tile_link_view(std::size_t t) const {
-  const Tile& tile = tiles_.at(t);
-  if (tile.servers.empty() || tile.users.empty()) {
-    throw std::invalid_argument("ScenarioTiler::tile_link_view: empty tile");
-  }
-  return core::PlacementProblem(scenario_->topology, scenario_->library,
-                                scenario_->requests, tile.servers, tile.users,
-                                core::PlacementProblem::LinksOnly{});
-}
-
 TiledSolveResult ScenarioTiler::solve(const std::string& solver_spec,
                                       std::uint64_t seed, std::size_t threads,
                                       double time_budget_s) const {
@@ -328,29 +171,22 @@ TiledSolveResult ScenarioTiler::solve(const std::string& solver_spec,
   const auto start = support::WallClock::now();
   const support::Rng master(seed);
   std::vector<std::optional<TileStitch>> stitches(tiles_.size());
-  std::vector<TileAttempt> worker_attempts;
-  if (config_.workers > 0) {
-    solve_tiles_distributed(*this, config_, solver_spec, master, time_budget_s,
-                            stitches, worker_attempts);
-  } else {
-    support::parallel_for(tiles_.size(), threads, [&](std::size_t t) {
-      const Tile& tile = tiles_[t];
-      if (tile.servers.empty() || tile.users.empty()) return;
-      // Per-shard problem view and solver instance; the view shares the
-      // scenario's topology/library/requests storage (reads only). Both the
-      // view and the solver's dense placement die with this shard — only the
-      // compact stitch rows survive to the merge loop.
-      const core::PlacementProblem problem = tile_problem(t);
-      const auto solver = core::SolverRegistry::instance().make(solver_spec);
-      core::SolverContext context(master.at(kTileStream, t));
-      if (time_budget_s > 0) context.set_deadline_after(time_budget_s);
-      stitches[t] = reduce_outcome(solver->run(problem, context));
-    });
-  }
+  support::parallel_for(tiles_.size(), threads, [&](std::size_t t) {
+    const Tile& tile = tiles_[t];
+    if (tile.servers.empty() || tile.users.empty()) return;
+    // Per-shard problem view and solver instance; the view shares the
+    // scenario's topology/library/requests storage (reads only). Both the
+    // view and the solver's dense placement die with this shard — only the
+    // compact stitch rows survive to the merge loop.
+    const core::PlacementProblem problem = tile_problem(t);
+    const auto solver = core::SolverRegistry::instance().make(solver_spec);
+    core::SolverContext context(master.at(kTileStream, t));
+    if (time_budget_s > 0) context.set_deadline_after(time_budget_s);
+    stitches[t] = reduce_outcome(solver->run(problem, context));
+  });
 
   TiledSolveResult result{core::PlacementSolution(
       scenario_->topology.num_servers(), scenario_->library.num_models())};
-  result.worker_attempts = std::move(worker_attempts);
   // Tile-index-order stitch: server sets are disjoint, so placements never
   // conflict and the merge is exact.
   for (std::size_t t = 0; t < tiles_.size(); ++t) {

@@ -38,20 +38,8 @@
 // Determinism: tile t's solver context derives counter-based from
 // (seed, t) via Rng::at, tiles write disjoint result slots, and stitching /
 // counter reduction run in tile index order — results are bit-identical for
-// every thread count.
-//
-// Distributed tiles (workers=N): tile solves can run in worker *processes*
-// instead of threads. The coordinator streams each tile sub-view to disk as
-// a self-contained binary problem (io/tile_codec.h) — building and releasing
-// one view at a time, so peak coordinator RSS no longer scales with the
-// number of concurrently-solved tiles — and a posix_spawn process pool
-// (sim/tile_worker_pool.h) runs `tools/trimcaching_worker` over the files
-// with per-tile timeout, bounded retry, and an in-process fallback on
-// permanent failure. The shipped counter-based tile seed makes workers land
-// on the exact in-process RNG streams, so workers=N is bit-identical to the
-// threaded path for every registered solver (tests/property_test.cc locks
-// the contract across the threads × workers grid); stitch and repair run
-// unchanged in the coordinator.
+// every thread count. The tile fan-out is in-process only: one
+// support::parallel_for over tile_problem(t).
 #pragma once
 
 #include <cstdint>
@@ -64,13 +52,13 @@
 #include "src/sim/evaluator.h"
 #include "src/sim/placement_repair.h"
 #include "src/sim/scenario.h"
-#include "src/sim/tile_worker_pool.h"
 
 namespace trimcaching::sim {
 
 struct TilerConfig {
   /// Tiles per axis; the grid is tiles_x × tiles_y over the square area.
-  /// 0 = derive a square grid from target_servers_per_tile.
+  /// 0 = derive a square grid from target_servers_per_tile. Neither may
+  /// exceed the scenario's server count (checked by ScenarioTiler).
   std::size_t tiles_x = 0;
   std::size_t tiles_y = 0;
   /// Auto-sizing target: pick the grid so the average tile holds about this
@@ -90,28 +78,6 @@ struct TilerConfig {
   /// Max global hit mass a copy may lose on eviction and still count as a
   /// duplicate (only read when `repair` is set).
   double repair_tolerance = 1e-12;
-
-  /// Out-of-process tile execution: > 0 runs tile solves in up to this many
-  /// `trimcaching_worker` child processes (file-based handoff under
-  /// scratch_dir, io/tile_codec.h binary format) instead of in-process
-  /// threads. Bit-identical to the in-process path for every registered
-  /// solver — each worker reconstructs the exact counter-based tile seed —
-  /// while the coordinator materializes only one tile sub-view at a time,
-  /// which is what breaks the single-address-space memory ceiling.
-  std::size_t workers = 0;
-  /// Worker binary path; empty = $TRIMCACHING_WORKER_BIN.
-  std::string worker_bin;
-  /// Handoff directory; empty = a fresh mkdtemp under $TMPDIR, removed after
-  /// the solve. A caller-provided directory is created if missing and its
-  /// tile files are cleaned up, but the directory itself is kept.
-  std::string scratch_dir;
-  /// Per-attempt wall-clock timeout for one tile solve (SIGKILL + retry);
-  /// <= 0 disables the timeout.
-  double worker_timeout_s = 300.0;
-  /// Respawns after a crashed / timed-out / unparsable attempt before the
-  /// coordinator falls back to solving that tile in-process (same seed, so
-  /// the fallback is bit-identical too — failures never change results).
-  std::size_t worker_retries = 1;
 
   void validate() const;
 };
@@ -139,10 +105,6 @@ struct TiledSolveResult {
   std::size_t duplicates_evicted = 0;
   std::size_t repair_additions = 0;
   double repair_wall_seconds = 0.0;
-  /// Worker-pool attempt log (workers=N only; empty otherwise): every spawn
-  /// outcome in completion order, with the exponential-backoff delay
-  /// scheduled before each retry — the post-mortem trail for flaky workers.
-  std::vector<TileAttempt> worker_attempts = {};
 };
 
 class ScenarioTiler {
@@ -166,13 +128,6 @@ class ScenarioTiler {
   /// Builds the per-tile problem view of tiles()[t] (servers must be
   /// non-empty). Exposed for tests and custom drivers.
   [[nodiscard]] core::PlacementProblem tile_problem(std::size_t t) const;
-
-  /// Links-only variant of tile_problem(): skips the hit-list build, which
-  /// dominates a view's footprint. All the workers=N serialization path
-  /// needs — the coordinator never materializes any tile's hit lists (the
-  /// worker rebuilds them from the shipped link arrays), which is where its
-  /// memory headroom over the in-process solve comes from.
-  [[nodiscard]] core::PlacementProblem tile_link_view(std::size_t t) const;
 
   /// Solves every tile with a fresh `solver_spec` registry solver and
   /// stitches the tile placements into one global solution. Tile t's solver

@@ -77,49 +77,6 @@ RequestModel RequestModel::generate(std::size_t num_users, std::size_t num_model
   return rm;
 }
 
-RequestModel RequestModel::from_rows(std::size_t num_models,
-                                     const std::vector<std::vector<RequestEntry>>& rows) {
-  if (rows.empty() || num_models == 0) {
-    throw std::invalid_argument("RequestModel::from_rows: empty user or model set");
-  }
-  RequestModel rm;
-  rm.num_users_ = rows.size();
-  rm.num_models_ = num_models;
-  rm.probability_.assign(rm.num_users_ * num_models, 0.0);
-  rm.deadline_.assign(rm.num_users_ * num_models, 0.0);
-  rm.inference_.assign(rm.num_users_ * num_models, 0.0);
-  rm.cost_.assign(rm.num_users_ * num_models, 0.0);
-  rm.requested_offsets_.assign(rm.num_users_ + 1, 0);
-  rm.total_mass_ = 0.0;
-  for (UserId k = 0; k < rm.num_users_; ++k) {
-    ModelId prev = 0;
-    bool first = true;
-    for (const RequestEntry& cell : rows[k]) {
-      if (cell.model >= num_models || (!first && cell.model <= prev)) {
-        throw std::invalid_argument(
-            "RequestModel::from_rows: row models must be strictly increasing ids in range");
-      }
-      if (!(cell.probability >= 0.0)) {
-        throw std::invalid_argument("RequestModel::from_rows: negative or NaN probability");
-      }
-      if (!(cell.cost >= 0.0)) {
-        throw std::invalid_argument("RequestModel::from_rows: negative or NaN compute cost");
-      }
-      prev = cell.model;
-      first = false;
-      const std::size_t slot = rm.at(k, cell.model);
-      rm.probability_[slot] = cell.probability;
-      rm.deadline_[slot] = cell.deadline_s;
-      rm.inference_[slot] = cell.inference_s;
-      rm.cost_[slot] = cell.cost;
-      rm.total_mass_ += cell.probability;
-      if (cell.probability > 0.0) rm.requested_flat_.push_back(cell.model);
-    }
-    rm.requested_offsets_[k + 1] = rm.requested_flat_.size();
-  }
-  return rm;
-}
-
 std::span<const ModelId> RequestModel::requested_models(UserId k) const {
   if (k >= num_users_) throw std::out_of_range("RequestModel::requested_models");
   return {requested_flat_.data() + requested_offsets_[k],

@@ -40,19 +40,10 @@ struct RequestConfig {
   void validate() const;
 };
 
-/// One sparse request-table cell for RequestModel::from_rows.
-struct RequestEntry {
-  ModelId model = 0;
-  double probability = 0.0;
-  double deadline_s = 0.0;
-  double inference_s = 0.0;
-  double cost = 0.0;  ///< compute cost of one inference (abstract units)
-};
-
 class RequestModel {
  public:
   /// Empty model (0 users / 0 models) — a placeholder slot to assign a
-  /// generate()/from_rows() result into (core::OwnedProblemData); not a
+  /// generate() result into (a default-constructed sim::Scenario); not a
   /// usable instance on its own.
   RequestModel() = default;
 
@@ -60,15 +51,6 @@ class RequestModel {
   /// over `num_models` models.
   static RequestModel generate(std::size_t num_users, std::size_t num_models,
                                const RequestConfig& config, support::Rng& rng);
-
-  /// Rebuilds a model from explicit per-user sparse rows (the deserialized
-  /// tile path, io/tile_codec.h). Row k lists user k's requested models in
-  /// strictly ascending id order; cells absent from a row have p = 0 and
-  /// zero deadlines. The p > 0 support and per-user iteration order match
-  /// generate()'s dense-scan semantics exactly, so a problem built on top
-  /// reproduces hit lists and request mass bit for bit.
-  static RequestModel from_rows(std::size_t num_models,
-                                const std::vector<std::vector<RequestEntry>>& rows);
 
   [[nodiscard]] std::size_t num_users() const noexcept { return num_users_; }
   [[nodiscard]] std::size_t num_models() const noexcept { return num_models_; }

@@ -11,14 +11,15 @@
 //     duplicate entries per server;
 //   * objective honesty: the solver-reported hit ratio equals an
 //     independent Eq. 2 recompute — both through core::expected_hit_ratio
-//     and through the Evaluator's flat-plan arithmetic.
+//     and through the Evaluator's flat-plan arithmetic;
+//   * tiling determinism: the tile fan-out at threads {2, 4} reproduces the
+//     serial tiled solve bit for bit, storage-only and joint.
 //
 // The exact solver is exponential, so it runs on dedicated tiny instances
 // where its optimality over the greedy family is asserted as well.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <set>
 #include <string>
 #include <vector>
@@ -147,16 +148,28 @@ TEST(SolverInvariants, EveryRegisteredSolverOnRandomScenariosTiled) {
   }
 }
 
-TEST(SolverInvariants, CrossProcessTilingBitIdenticalForEveryRegisteredSolver) {
-  // The distributed-tiles contract (ROADMAP / sim/tiler.h): for every
-  // registered solver, solving the tiles in worker *processes* must
-  // reproduce the in-process tiled result bit for bit — same placements in
-  // the same placement order, same Eq. 2 objective, same work counters —
-  // across a threads × workers grid. Seeds × {special, general} scenarios.
-  const char* worker_bin = std::getenv("TRIMCACHING_WORKER_BIN");
-  if (!worker_bin || !*worker_bin) {
-    GTEST_SKIP() << "TRIMCACHING_WORKER_BIN not set (run under ctest)";
+/// Serial-vs-threaded tiling identity: every server's models in the same
+/// placement order, the same Eq. 2 objective and the same work counters.
+void expect_bit_identical(const sim::TiledSolveResult& serial,
+                          const sim::TiledSolveResult& threaded,
+                          const std::string& label) {
+  ASSERT_EQ(serial.placement.total_placements(), threaded.placement.total_placements())
+      << label;
+  for (ServerId m = 0; m < serial.placement.num_servers(); ++m) {
+    ASSERT_EQ(serial.placement.models_on(m), threaded.placement.models_on(m))
+        << label << " server " << m;
   }
+  EXPECT_EQ(serial.hit_ratio, threaded.hit_ratio) << label;
+  EXPECT_EQ(serial.gain_evaluations, threaded.gain_evaluations) << label;
+  EXPECT_EQ(serial.iterations, threaded.iterations) << label;
+}
+
+TEST(SolverInvariants, TilingBitIdenticalAcrossThreadsForEveryRegisteredSolver) {
+  // The tiling determinism contract (sim/tiler.h): for every registered
+  // solver, the tile fan-out at threads {2, 4} must reproduce the serial
+  // tiled result bit for bit — same placements in the same placement order,
+  // same Eq. 2 objective, same work counters. Seeds × {special, general}
+  // scenarios, with the repair pass on for odd seeds.
   const auto specs = harness_specs();
   for (std::uint64_t seed = 1; seed <= 2; ++seed) {
     for (const bool general : {false, true}) {
@@ -173,34 +186,20 @@ TEST(SolverInvariants, CrossProcessTilingBitIdenticalForEveryRegisteredSolver) {
       tiler_config.tiles_x = 2;
       tiler_config.tiles_y = 2;
       tiler_config.repair = (seed % 2) == 1;
-      const sim::ScenarioTiler in_process(scenario, tiler_config);
+      const sim::ScenarioTiler tiler(scenario, tiler_config);
       for (const std::string& spec : specs) {
-        const std::string label = "x-process " + spec +
+        const std::string label = "threads " + spec +
                                   (general ? " general" : " special") +
                                   " seed=" + std::to_string(seed);
-        const auto serial = in_process.solve(spec, seed, 1);
-        const auto threaded = in_process.solve(spec, seed, 4);
-        for (const std::size_t workers : {std::size_t{2}, std::size_t{4}}) {
-          sim::TilerConfig distributed_config = tiler_config;
-          distributed_config.workers = workers;
-          const sim::ScenarioTiler distributed(scenario, distributed_config);
-          const auto remote = distributed.solve(spec, seed);
-          for (const auto* result : {&threaded, &remote}) {
-            ASSERT_EQ(serial.placement.total_placements(),
-                      result->placement.total_placements())
-                << label << " workers=" << workers;
-            for (ServerId m = 0; m < serial.placement.num_servers(); ++m) {
-              ASSERT_EQ(serial.placement.models_on(m), result->placement.models_on(m))
-                  << label << " workers=" << workers << " server " << m;
-            }
-            EXPECT_EQ(serial.hit_ratio, result->hit_ratio) << label;
-            EXPECT_EQ(serial.gain_evaluations, result->gain_evaluations) << label;
-            EXPECT_EQ(serial.iterations, result->iterations) << label;
-          }
-          // Eq. 2 honesty of the cross-process result against an
-          // independent recompute on the full problem.
-          EXPECT_NEAR(core::expected_hit_ratio(problem, remote.placement),
-                      remote.hit_ratio, 1e-9)
+        const auto serial = tiler.solve(spec, seed, 1);
+        for (const std::size_t threads : {std::size_t{2}, std::size_t{4}}) {
+          const auto threaded = tiler.solve(spec, seed, threads);
+          expect_bit_identical(serial, threaded,
+                               label + " threads=" + std::to_string(threads));
+          // Eq. 2 honesty of the threaded result against an independent
+          // recompute on the full problem.
+          EXPECT_NEAR(core::expected_hit_ratio(problem, threaded.placement),
+                      threaded.hit_ratio, 1e-9)
               << label;
         }
       }
@@ -332,16 +331,10 @@ TEST(SolverInvariants, ZeroComputeCapacityServesNothing) {
   }
 }
 
-TEST(SolverInvariants, JointTiledAndCrossProcessAgreeUnderComputeConstraint) {
-  // The distributed contract extends to the joint objective: with a binding
-  // compute capacity, in-process serial, in-process threaded, and
-  // worker-process tiling must all reproduce the same placements and the
-  // same joint hit ratio bit for bit (the tile codec's v2 compute section is
-  // what carries the capacities/costs across the process boundary).
-  const char* worker_bin = std::getenv("TRIMCACHING_WORKER_BIN");
-  if (!worker_bin || !*worker_bin) {
-    GTEST_SKIP() << "TRIMCACHING_WORKER_BIN not set (run under ctest)";
-  }
+TEST(SolverInvariants, JointTilingBitIdenticalAcrossThreadsUnderComputeConstraint) {
+  // The tiling determinism contract extends to the joint objective: with a
+  // binding compute capacity, the tile fan-out at threads {2, 4} must
+  // reproduce the serial tiled placements and joint hit ratio bit for bit.
   const auto specs = harness_specs();
   for (std::uint64_t seed = 1; seed <= 2; ++seed) {
     for (const bool general : {false, true}) {
@@ -360,33 +353,21 @@ TEST(SolverInvariants, JointTiledAndCrossProcessAgreeUnderComputeConstraint) {
       tiler_config.tiles_x = 2;
       tiler_config.tiles_y = 2;
       tiler_config.repair = (seed % 2) == 1;
-      const sim::ScenarioTiler in_process(scenario, tiler_config);
-      sim::TilerConfig distributed_config = tiler_config;
-      distributed_config.workers = 2;
-      const sim::ScenarioTiler distributed(scenario, distributed_config);
+      const sim::ScenarioTiler tiler(scenario, tiler_config);
       for (const std::string& spec : specs) {
-        const std::string label = "joint x-process " + spec +
+        const std::string label = "joint threads " + spec +
                                   (general ? " general" : " special") +
                                   " seed=" + std::to_string(seed);
-        const auto serial = in_process.solve(spec, seed, 1);
-        const auto threaded = in_process.solve(spec, seed, 4);
-        const auto remote = distributed.solve(spec, seed);
-        for (const auto* result : {&threaded, &remote}) {
-          ASSERT_EQ(serial.placement.total_placements(),
-                    result->placement.total_placements())
-              << label;
-          for (ServerId m = 0; m < serial.placement.num_servers(); ++m) {
-            ASSERT_EQ(serial.placement.models_on(m), result->placement.models_on(m))
-                << label << " server " << m;
-          }
-          EXPECT_EQ(serial.hit_ratio, result->hit_ratio) << label;
-          EXPECT_EQ(serial.gain_evaluations, result->gain_evaluations) << label;
-          EXPECT_EQ(serial.iterations, result->iterations) << label;
+        const auto serial = tiler.solve(spec, seed, 1);
+        for (const std::size_t threads : {std::size_t{2}, std::size_t{4}}) {
+          const auto threaded = tiler.solve(spec, seed, threads);
+          const std::string at = label + " threads=" + std::to_string(threads);
+          expect_bit_identical(serial, threaded, at);
+          EXPECT_NEAR(core::expected_hit_ratio(problem, threaded.placement),
+                      threaded.hit_ratio, 1e-9)
+              << at;
+          check_joint_invariants(problem, threaded.placement, threaded.hit_ratio, at);
         }
-        EXPECT_NEAR(core::expected_hit_ratio(problem, remote.placement),
-                    remote.hit_ratio, 1e-9)
-            << label;
-        check_joint_invariants(problem, remote.placement, remote.hit_ratio, label);
       }
     }
   }

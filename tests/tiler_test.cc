@@ -173,6 +173,45 @@ TEST(ScenarioTiler, SolveBitIdenticalAcrossThreadCounts) {
   EXPECT_EQ(serial.tiles_solved, threaded.tiles_solved);
 }
 
+TEST(ScenarioTiler, GridAxisLargerThanTheServerCountIsRejected) {
+  // A 2^32 x 2^32 grid used to wrap tiles_x * tiles_y to 0 and write past
+  // the empty tile vector; an oversized but non-wrapping grid only adds
+  // empty tiles. Both must be refused, naming the axis.
+  ScenarioConfig config;
+  config.num_servers = 5;
+  config.num_users = 20;
+  config.library_size = 12;
+  config.special.models_per_family = 4;
+  config.requests.models_per_user = 6;
+  Rng rng(94);
+  const Scenario scenario = build_scenario(config, rng);
+  for (const std::size_t tiles : {std::size_t{1} << 32, std::size_t{1000}}) {
+    TilerConfig tiler_config;
+    tiler_config.tiles_x = tiles;
+    tiler_config.tiles_y = tiles;
+    try {
+      const ScenarioTiler tiler(scenario, tiler_config);
+      FAIL() << tiles << "x" << tiles << " grid on 5 servers must throw";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("tiles_x"), std::string::npos) << e.what();
+    }
+  }
+  TilerConfig tall;
+  tall.tiles_x = 1;
+  tall.tiles_y = 6;
+  try {
+    const ScenarioTiler tiler(scenario, tall);
+    FAIL() << "1x6 grid on 5 servers must throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("tiles_y"), std::string::npos) << e.what();
+  }
+  // One tile per server along an axis is still a legal grid.
+  TilerConfig edge;
+  edge.tiles_x = 5;
+  edge.tiles_y = 5;
+  EXPECT_NO_THROW(ScenarioTiler(scenario, edge));
+}
+
 TEST(ParallelSolvers, SpecAndGenInnerLoopsBitIdenticalAcrossThreadCounts) {
   ScenarioConfig config;
   config.num_servers = 6;

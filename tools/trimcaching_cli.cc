@@ -50,9 +50,9 @@
 //   outage_samples       Monte-Carlo outage masks for the availability
 //                        report (32)
 //   tiles                solve through ScenarioTiler on an NxN spatial
-//                        grid, 0 = untiled (0); servers stay tile-disjoint,
-//                        boundary users ride along in halo tiles, hit
-//                        ratios are always the global Eq. 2 value
+//                        grid, N <= servers, 0 = untiled (0); servers stay
+//                        tile-disjoint, boundary users ride along in halo
+//                        tiles, hit ratios are always the global Eq. 2 value
 //   tile_halo_m          halo margin in meters for boundary users;
 //                        negative = the radio coverage radius (-1)
 //   repair               1 = run the cross-tile repair pass on the stitched
@@ -60,15 +60,6 @@
 //                        marginal-gain refill; tiled runs only) (0)
 //   repair_tol           max global hit mass a copy may lose on eviction
 //                        and still count as a duplicate (1e-12)
-//   workers              solve each tile in a spawned worker *process*
-//                        instead of in-process threads (tiled runs only;
-//                        bit-identical results, lower coordinator memory),
-//                        0 = in-process (0)
-//   worker_bin           path to the trimcaching_worker binary; empty =
-//                        $TRIMCACHING_WORKER_BIN ("")
-//   scratch_dir          directory for the tile view/result files handed to
-//                        workers; empty = a mkdtemp'd dir under $TMPDIR,
-//                        removed afterwards ("")
 #include <cmath>
 #include <iostream>
 #include <optional>
@@ -192,8 +183,7 @@ int main(int argc, char** argv) {
                            "policy", "faults", "mtbf", "mttr", "availability",
                            "outage_samples", "save_library", "save_placement",
                            "tiles", "tile_halo_m",
-                           "repair", "repair_tol", "workers", "worker_bin",
-                           "scratch_dir"});
+                           "repair", "repair_tol"});
 
     const auto& registry = core::SolverRegistry::instance();
     const std::string algo = options.get_string("algo", "all");
@@ -352,28 +342,16 @@ int main(int argc, char** argv) {
       tiler_config.threads = threads;
       tiler_config.repair = options.get_bool("repair", false);
       tiler_config.repair_tolerance = options.get_double("repair_tol", 1e-12);
-      tiler_config.workers = options.get_size("workers", 0);
-      tiler_config.worker_bin = options.get_string("worker_bin", "");
-      tiler_config.scratch_dir = options.get_string("scratch_dir", "");
       tiler = std::make_unique<sim::ScenarioTiler>(scenario, tiler_config);
       std::cout << "tiling: " << tiler->tiles_x() << "x" << tiler->tiles_y()
                 << " grid, " << tiler->halo_memberships()
                 << " halo user memberships"
-                << (tiler_config.repair ? ", cross-tile repair on" : "");
-      if (tiler_config.workers > 0) {
-        std::cout << ", " << tiler_config.workers << " worker processes";
-      }
-      std::cout << "\n\n";
+                << (tiler_config.repair ? ", cross-tile repair on" : "") << "\n\n";
     } else {
       if (options.get_bool("repair", false)) {
         throw std::invalid_argument(
             "repair=1 needs a tiled run (set tiles=N); untiled placements "
             "can be refined with algo=<base>+repair instead");
-      }
-      if (options.get_size("workers", 0) > 0) {
-        throw std::invalid_argument(
-            "workers=N needs a tiled run (set tiles=N); only tile solves "
-            "distribute over worker processes");
       }
       problem.emplace(scenario.topology, scenario.library, scenario.requests);
     }
