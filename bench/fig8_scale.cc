@@ -29,8 +29,10 @@
 // Each solve variant additionally samples its own peak resident set
 // (support/resource.h RssSampler, with release_freed_memory() between
 // variants so one variant's freed pages do not inflate the next variant's
-// watermark): at 100x the serial tiled peak sits well below the untiled
-// one, because no tile's hit lists approach the full problem's. Everything
+// watermark). With factored hit lists (core/problem.h) the full 100x
+// problem holds only a few MB, so the untiled and serial tiled peaks sit
+// close together, both dominated by the scenario's dense K x I request
+// arrays (about 64 MB at 100x). Everything
 // lands in BENCH_scale.json (bench/bench_json.h schema, incl. the
 // hit_ratio, duplication_factor and peak_rss_mb metrics) for the perf
 // trajectory and the speedup and duplication gates of bench/gates.txt.

@@ -1,7 +1,10 @@
 #include "src/core/problem.h"
 
+#include <algorithm>
+#include <cstdint>
 #include <limits>
 #include <stdexcept>
+#include <utility>
 
 namespace trimcaching::core {
 
@@ -69,11 +72,10 @@ PlacementProblem::PlacementProblem(const wireless::NetworkTopology& topology,
   }
   check_subset(server_ids_, topology.num_servers(), "server");
   check_subset(user_ids_, topology.num_users(), "user");
-  build_links();
-  build_hit_lists();
+  build();
 }
 
-void PlacementProblem::build_links() {
+void PlacementProblem::build() {
   backhaul_bps_ = topology_->radio().backhaul_bps;
   compute_caps_.resize(num_servers_);
   for (std::size_t m = 0; m < num_servers_; ++m) {
@@ -89,14 +91,31 @@ void PlacementProblem::build_links() {
   std::vector<std::uint32_t> local_server(topology_->num_servers(), kInvalidId);
   for (std::size_t m = 0; m < num_servers_; ++m) local_server[server_ids_[m]] = m;
 
-  // Per-(m, k) inverse effective rates from the topology's flat CSR link
-  // views: one pass over each user's covering span fills the direct links
-  // and the best-relay fallback for everything else.
+  // Pass 1, user-major over the topology's flat CSR link views and the
+  // sparse p > 0 request support. Per user k it fills column k of the
+  // per-(m, k) inverse effective rates (direct links, best-relay fallback
+  // for everything else), then stages k's relay entries per model and the
+  // per-(m, i) slot events of the servers covering k. Users ascend, so every
+  // staged sequence is in ascending user order and `relay_pos` (k's place in
+  // R_i) increases within a slot.
   const auto& offsets = topology_->covering_offsets();
   const auto& flat = topology_->covering_flat();
   const auto& avg_rate = topology_->link_avg_rate_bps();
   inv_eff_.assign(num_servers_ * num_users_, kInf);
   assoc_.assign(num_servers_ * num_users_, 0);
+  struct SlotEvent {
+    std::size_t slot;          // m·I + i
+    HitEntry entry;            // the direct entry (unused for a hole)
+    std::uint32_t relay_pos;   // |{k' ∈ R_i : k' < k}|
+    bool hole;                 // k ∈ R_i, but m covers k and misses Eq. 4
+  };
+  std::vector<SlotEvent> events;
+  std::vector<std::size_t> event_offsets(num_servers_ * num_models_ + 1, 0);
+  std::vector<std::pair<ModelId, HitEntry>> relay_staged;
+  std::vector<std::size_t> relay_offsets(num_models_ + 1, 0);
+  std::vector<std::uint32_t> cover;  // view servers covering user k
+  total_mass_ = 0.0;
+  reachable_mass_ = 0.0;
   for (std::size_t k = 0; k < num_users_; ++k) {
     const UserId gk = user_ids_[k];
     double relay_inv = kInf;
@@ -106,59 +125,136 @@ void PlacementProblem::build_links() {
     for (std::size_t m = 0; m < num_servers_; ++m) {
       inv_eff_[m * num_users_ + k] = relay_inv;
     }
+    cover.clear();
     for (std::size_t l = offsets[gk]; l < offsets[gk + 1]; ++l) {
       const std::uint32_t lm = local_server[flat[l]];
       if (lm == kInvalidId) continue;
       assoc_[lm * num_users_ + k] = 1;
       inv_eff_[lm * num_users_ + k] = avg_rate[l] > 0 ? 1.0 / avg_rate[l] : kInf;
+      cover.push_back(lm);
     }
-  }
-}
+    // The relay path is open only through a view server that does not
+    // cover k; in a tile view every local server may cover a halo user.
+    const bool relay_open = cover.size() < num_servers_;
 
-void PlacementProblem::build_hit_lists() {
-  // Hit lists over the sparse p > 0 request support: user-major so each
-  // (m, i) list collects users in ascending local order.
-  hit_lists_.assign(num_servers_ * num_models_, {});
-  struct Row {
-    ModelId model;
-    double mass;
-    double bits;
-    double budget_s;
-  };
-  std::vector<Row> rows;
-  std::vector<char> row_reachable;
-  total_mass_ = 0.0;
-  reachable_mass_ = 0.0;
-  for (std::size_t k = 0; k < num_users_; ++k) {
-    const UserId gk = global_user(static_cast<UserId>(k));
-    rows.clear();
     for (const ModelId i : requests_->requested_models(gk)) {
       const double p = requests_->probability(gk, i);
       total_mass_ += p;
       const double budget = requests_->deadline_s(gk, i) - requests_->inference_s(gk, i);
       if (budget <= 0) continue;
-      rows.push_back(Row{i, p, payload_bits_[i], budget});
+      const double bits = payload_bits_[i];
+      const HitEntry entry{static_cast<UserId>(k), p};
+      const bool in_relay =
+          relay_inv != kInf && bits / backhaul_bps_ + bits * relay_inv <= budget;
+      bool reachable = in_relay && relay_open;
+      // A covering server's list holds k iff its direct link passes. When
+      // that agrees with k's R_i membership the shared relay entry (same
+      // user, same mass) already stands in; otherwise the slot records a
+      // direct entry to splice in or a hole to cut.
+      const auto relay_pos = static_cast<std::uint32_t>(relay_offsets[i + 1]);
+      for (const std::uint32_t m : cover) {
+        const double inv = inv_eff_[m * num_users_ + k];
+        const bool direct = inv != kInf && bits * inv <= budget;
+        reachable |= direct;
+        if (direct == in_relay) continue;
+        events.push_back(SlotEvent{m * num_models_ + i, entry, relay_pos, in_relay});
+        ++event_offsets[m * num_models_ + i + 1];
+      }
+      if (in_relay) {
+        relay_staged.emplace_back(i, entry);
+        ++relay_offsets[i + 1];
+      }
+      if (reachable) reachable_mass_ += p;
     }
-    row_reachable.assign(rows.size(), 0);
-    for (std::size_t m = 0; m < num_servers_; ++m) {
-      const double inv = inv_eff_[m * num_users_ + k];
-      if (inv == kInf) continue;
-      const bool direct = assoc_[m * num_users_ + k] != 0;
-      for (std::size_t r = 0; r < rows.size(); ++r) {
-        const Row& row = rows[r];
-        const double latency = direct
-                                   ? row.bits * inv
-                                   : row.bits / backhaul_bps_ + row.bits * inv;
-        if (latency <= row.budget_s) {
-          hit_lists_[m * num_models_ + row.model].push_back(
-              HitEntry{static_cast<UserId>(k), row.mass});
-          row_reachable[r] = 1;
-        }
+  }
+
+  // Pass 2: stable counting sorts — slot events per slot, relay entries per
+  // model. The relay block opens the pool.
+  for (std::size_t s = 0; s + 1 < event_offsets.size(); ++s) {
+    event_offsets[s + 1] += event_offsets[s];
+  }
+  for (std::size_t i = 0; i < num_models_; ++i) relay_offsets[i + 1] += relay_offsets[i];
+  std::vector<SlotEvent> sorted(events.size());
+  {
+    std::vector<std::size_t> cursor(event_offsets.begin(), event_offsets.end() - 1);
+    for (const SlotEvent& e : events) sorted[cursor[e.slot]++] = e;
+  }
+  events = {};
+  // HitRun indexes the pool with 32 bits.
+  const auto check_pool_size = [](std::size_t size) {
+    if (size >= UINT32_MAX) {
+      throw std::length_error("PlacementProblem: too many hit-list entries");
+    }
+  };
+  check_pool_size(relay_staged.size());
+  pool_.assign(relay_staged.size(), HitEntry{});
+  {
+    std::vector<std::size_t> cursor(relay_offsets.begin(), relay_offsets.end() - 1);
+    for (const auto& [i, entry] : relay_staged) pool_[cursor[i]++] = entry;
+  }
+
+  // Pass 3, per (m, i) slot: cut R_i at the slot's holes and splice in its
+  // direct entries, appended to the pool; pool-adjacent pieces share a run.
+  // A list whose runs would average fewer than kMinMeanRun entries is laid
+  // out again as one copied run (see the header).
+  constexpr std::size_t kMinMeanRun = 16;
+  runs_.clear();
+  run_offsets_.assign(num_servers_ * num_models_ + 1, 0);
+  list_sizes_.assign(num_servers_ * num_models_, 0);
+  std::size_t slot_runs = 0;
+  const auto append = [&](const HitEntry entry) {
+    check_pool_size(pool_.size() + 1);
+    const auto at = static_cast<std::uint32_t>(pool_.size());
+    pool_.push_back(entry);
+    if (runs_.size() > slot_runs && runs_.back().last == at) {
+      ++runs_.back().last;
+    } else {
+      runs_.push_back(HitRun{at, at + 1});
+    }
+  };
+  const auto lay_out = [&](std::size_t s, bool copy) {
+    const std::size_t i = s % num_models_;
+    const auto relay_stretch = [&](std::uint32_t first, std::uint32_t last) {
+      if (!copy) {
+        runs_.push_back(HitRun{first, last});
+        return;
+      }
+      for (std::uint32_t j = first; j < last; ++j) append(pool_[j]);
+    };
+    const auto relay_first = static_cast<std::uint32_t>(relay_offsets[i]);
+    std::uint32_t cursor = relay_first;
+    for (std::size_t e = event_offsets[s]; e < event_offsets[s + 1]; ++e) {
+      const SlotEvent& event = sorted[e];
+      const std::uint32_t at = relay_first + event.relay_pos;
+      if (at > cursor) {
+        relay_stretch(cursor, at);
+        cursor = at;
+      }
+      if (event.hole) {
+        cursor = at + 1;
+      } else {
+        append(event.entry);
       }
     }
-    for (std::size_t r = 0; r < rows.size(); ++r) {
-      if (row_reachable[r]) reachable_mass_ += rows[r].mass;
+    const auto relay_last = static_cast<std::uint32_t>(relay_offsets[i + 1]);
+    if (relay_last > cursor) relay_stretch(cursor, relay_last);
+  };
+  for (std::size_t s = 0; s < list_sizes_.size(); ++s) {
+    const std::size_t pool_mark = pool_.size();
+    slot_runs = runs_.size();
+    lay_out(s, false);
+    std::size_t size = 0;
+    for (std::size_t r = slot_runs; r < runs_.size(); ++r) {
+      size += runs_[r].last - runs_[r].first;
     }
+    const std::size_t num_runs = runs_.size() - slot_runs;
+    if (num_runs > 1 && size < kMinMeanRun * num_runs) {
+      pool_.resize(pool_mark);
+      runs_.resize(slot_runs);
+      lay_out(s, true);
+    }
+    list_sizes_[s] = static_cast<std::uint32_t>(size);
+    run_offsets_[s + 1] = runs_.size();
   }
 }
 
@@ -190,11 +286,14 @@ std::span<const char> PlacementProblem::associations(ServerId m) const {
   return {assoc_.data() + static_cast<std::size_t>(m) * num_users_, num_users_};
 }
 
-std::span<const HitEntry> PlacementProblem::hit_list(ServerId m, ModelId i) const {
+HitList PlacementProblem::hit_list(ServerId m, ModelId i) const {
   if (m >= num_servers_ || i >= num_models_) {
     throw std::out_of_range("PlacementProblem::hit_list");
   }
-  return hit_lists_[static_cast<std::size_t>(m) * num_models_ + i];
+  const std::size_t slot = static_cast<std::size_t>(m) * num_models_ + i;
+  return HitList(pool_.data(),
+                 {runs_.data() + run_offsets_[slot], runs_.data() + run_offsets_[slot + 1]},
+                 list_sizes_[slot]);
 }
 
 }  // namespace trimcaching::core

@@ -6,13 +6,35 @@
 //     relayed path through an associated server (Eqs. 4–5), computed from
 //     *average* channel rates (the paper's "snapshot" decision stage).
 //     Eligibility is evaluated from one precomputed inverse effective rate
-//     per (m, k) link (the payload only scales it), so construction is
-//     O(M·K + hit-list entries) instead of one latency model walk per
-//     (m, k, i) cell;
+//     per (m, k) link (the payload only scales it);
 //   * per-(m,i) hit lists: the users (with request mass) that placement
 //     x_{m,i} = 1 can newly serve — the data structure behind every
 //     marginal-gain computation;
 //   * the storage side: library block structure and server capacities.
+//
+// Hit lists are stored factored. Eq. 5's relayed path costs the same from
+// every server that does not cover the user (it always runs through the
+// user's best covering link), so hit list (m, i) is
+//   D_{m,i}  ∪  (R_i \ Cov_m)
+// where D_{m,i} holds the users m covers and reaches over the direct Eq. 4
+// link, R_i the users whose best covering link passes Eq. 5 for model i, and
+// Cov_m the users m covers. R_i's entries are stored once per model in a
+// shared pool, and list (m, i) is a precomputed sequence of runs over it
+// that yields the list in ascending user order. A covered user in both D
+// and R_i reads its R_i entry (same user, same mass), so only the
+// disagreements between D_{m,i} and R_i ∩ Cov_m become slot events: a
+// direct entry spliced into R_i, or a hole cut out of it. A list whose runs
+// would average fewer than 16 entries is copied into one run instead: a run
+// boundary costs about as much to read as a dozen entries.
+//
+// Construction is one user-major pass over each user's covering span and
+// requested models, then one pass over the (m, i) slots:
+// O(M·K + M·I + Σ_k |span_k|·rows_k). Storage is
+// O(M·K + M·I + Σ_i |R_i| + E), E ≤ |D| + Σ_i |R_i ∩ Cov| the slot events:
+// the M·K link snapshot, one offset and one size per (m, i), the pool and
+// the runs. At the fig8 100× point that is about 100 k pooled entries and
+// 1.08 runs per list (≈3.7 MB in all), against the 4.6 M entries (74 MB) of
+// a list per (m, i) with the relay users copied into it.
 //
 // Sub-views (the tiling engine, sim/tiler.h): the second constructor
 // restricts the instance to explicit server/user subsets while *sharing* the
@@ -26,6 +48,8 @@
 // them alive for the problem's lifetime (sim::Scenario does).
 #pragma once
 
+#include <cstdint>
+#include <iterator>
 #include <span>
 #include <vector>
 
@@ -40,6 +64,69 @@ namespace trimcaching::core {
 struct HitEntry {
   UserId user = 0;  ///< view-local user id
   double mass = 0.0;  ///< p_{k,i}
+};
+
+/// One run of a hit list: the entries [first, last) of the problem's shared
+/// entry pool.
+struct HitRun {
+  std::uint32_t first = 0;
+  std::uint32_t last = 0;
+};
+
+/// Hit list (m, i) as a read-only range of HitEntry, ascending by
+/// view-local user: a short sequence of non-empty runs over the problem's
+/// shared entry pool. Iteration is a pointer walk with one extra step per
+/// run.
+class HitList {
+ public:
+  class iterator {
+   public:
+    iterator(const HitEntry* pool, std::span<const HitRun> runs)
+        : pool_(pool), run_(runs.data()), runs_end_(runs.data() + runs.size()) {
+      next_run();
+    }
+
+    const HitEntry& operator*() const { return *cur_; }
+    const HitEntry* operator->() const { return cur_; }
+    iterator& operator++() {
+      if (++cur_ == run_end_) next_run();
+      return *this;
+    }
+    friend bool operator==(const iterator& it, std::default_sentinel_t) {
+      return it.cur_ == nullptr;
+    }
+
+   private:
+    // Runs are never empty, so one step always lands on an entry.
+    void next_run() {
+      if (run_ == runs_end_) {
+        cur_ = nullptr;
+        return;
+      }
+      cur_ = pool_ + run_->first;
+      run_end_ = pool_ + run_->last;
+      ++run_;
+    }
+
+    const HitEntry* pool_ = nullptr;
+    const HitRun* run_ = nullptr;
+    const HitRun* runs_end_ = nullptr;
+    const HitEntry* cur_ = nullptr;  // nullptr once past the last run
+    const HitEntry* run_end_ = nullptr;
+  };
+
+  HitList(const HitEntry* pool, std::span<const HitRun> runs, std::size_t size)
+      : pool_(pool), runs_(runs), size_(size) {}
+
+  [[nodiscard]] iterator begin() const { return iterator(pool_, runs_); }
+  [[nodiscard]] std::default_sentinel_t end() const noexcept { return {}; }
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+  [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
+
+ private:
+  const HitEntry* pool_;
+  std::span<const HitRun> runs_;
+  std::size_t size_;
 };
 
 class PlacementProblem {
@@ -124,8 +211,10 @@ class PlacementProblem {
   [[nodiscard]] double payload_bits(ModelId i) const { return payload_bits_.at(i); }
   [[nodiscard]] double backhaul_bps() const noexcept { return backhaul_bps_; }
 
-  /// Users servable by placing model i on server m, with their request mass.
-  [[nodiscard]] std::span<const HitEntry> hit_list(ServerId m, ModelId i) const;
+  /// Users servable by placing model i on server m, with their request
+  /// mass, ascending by view-local user — every objective and solver sums
+  /// over this order. size() and empty() are O(1).
+  [[nodiscard]] HitList hit_list(ServerId m, ModelId i) const;
 
   /// Σ_k Σ_i p_{k,i} over this instance's users — the denominator of U(X).
   [[nodiscard]] double total_mass() const noexcept { return total_mass_; }
@@ -135,8 +224,7 @@ class PlacementProblem {
   [[nodiscard]] double reachable_mass() const noexcept { return reachable_mass_; }
 
  private:
-  void build_links();
-  void build_hit_lists();
+  void build();
 
   const wireless::NetworkTopology* topology_;
   const model::ModelLibrary* library_;
@@ -163,7 +251,14 @@ class PlacementProblem {
   std::vector<double> compute_caps_;  // per local server; +inf = unconstrained
   bool compute_constrained_ = false;
 
-  std::vector<std::vector<HitEntry>> hit_lists_;    // per (m, i)
+  // Factored hit lists (see the file comment). `pool_` holds the relay
+  // entries, grouped per model, followed by each (m, i) slot's spliced
+  // direct entries or copied list; list (m, i) is the runs
+  // runs_[run_offsets_[m·I + i], run_offsets_[m·I + i + 1]) over it.
+  std::vector<HitEntry> pool_;
+  std::vector<HitRun> runs_;
+  std::vector<std::size_t> run_offsets_;   // M·I + 1
+  std::vector<std::uint32_t> list_sizes_;  // per (m, i)
   double total_mass_ = 0.0;
   double reachable_mass_ = 0.0;
 };

@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include "src/core/objective.h"
 #include "src/core/solver_registry.h"
@@ -308,21 +309,25 @@ TEST(PlacementProblemView, SubsetAgreesWithFullInstance) {
             << "m=" << servers[m] << " k=" << users[k] << " i=" << i;
       }
     }
-    // Hit lists carry the same masses, re-indexed to view-local users.
+    // Each view list is the full list filtered to the view's users and
+    // re-indexed to view-local ids, entry for entry.
     for (ModelId i = 0; i < full.num_models(); ++i) {
-      const auto local = view.hit_list(static_cast<ServerId>(m), i);
-      double local_mass = 0.0;
-      for (const auto& entry : local) {
-        EXPECT_LT(entry.user, users.size());
-        local_mass += entry.mass;
-      }
-      double global_mass = 0.0;
+      std::vector<core::HitEntry> expected;
       for (const auto& entry : full.hit_list(servers[m], i)) {
-        if (std::find(users.begin(), users.end(), entry.user) != users.end()) {
-          global_mass += entry.mass;
-        }
+        const auto it = std::find(users.begin(), users.end(), entry.user);
+        if (it == users.end()) continue;
+        expected.push_back({static_cast<UserId>(it - users.begin()), entry.mass});
       }
-      EXPECT_NEAR(local_mass, global_mass, 1e-12);
+      const auto local = view.hit_list(static_cast<ServerId>(m), i);
+      EXPECT_EQ(local.size(), expected.size()) << "m=" << servers[m] << " i=" << i;
+      std::size_t n = 0;
+      for (const auto& entry : local) {
+        ASSERT_LT(n, expected.size()) << "m=" << servers[m] << " i=" << i;
+        EXPECT_EQ(entry.user, expected[n].user) << "m=" << servers[m] << " i=" << i;
+        EXPECT_EQ(entry.mass, expected[n].mass) << "m=" << servers[m] << " i=" << i;
+        ++n;
+      }
+      EXPECT_EQ(n, expected.size()) << "m=" << servers[m] << " i=" << i;
     }
   }
 
