@@ -27,31 +27,19 @@ JointEvaluation evaluate_joint(const PlacementProblem& problem,
       placement.num_models() != problem.num_models()) {
     throw std::invalid_argument("evaluate_joint: dimension mismatch");
   }
-  const std::size_t num_users = problem.num_users();
-  const std::size_t num_models = problem.num_models();
+  // The canonical assignment: servers ascending, placed models ascending;
+  // CoverageState::add walks each hit list in ascending user order and
+  // commits its compute charges.
+  CoverageState coverage(problem);
   JointEvaluation eval;
-  eval.server_loads.assign(problem.num_servers(), 0.0);
-  // The canonical assignment: servers ascending, placed models ascending,
-  // hit-list entries ascending by user (the lists are built that way). Every
-  // joint evaluator in the tree must reproduce this walk exactly.
-  std::vector<char> covered(num_users * num_models, 0);
+  eval.server_loads.resize(problem.num_servers());
   for (ServerId m = 0; m < problem.num_servers(); ++m) {
-    const double cap = problem.compute_capacity(m);
-    double& load = eval.server_loads[m];
-    for (ModelId i = 0; i < num_models; ++i) {
-      if (!placement.placed(m, i)) continue;
-      for (const HitEntry& entry : problem.hit_list(m, i)) {
-        char& flag = covered[static_cast<std::size_t>(i) * num_users + entry.user];
-        if (flag) continue;
-        const double charge = entry.mass * problem.compute_cost(entry.user, i);
-        if (load + charge <= cap) {
-          flag = 1;
-          load += charge;
-          eval.hit_mass += entry.mass;
-        }
-      }
+    for (ModelId i = 0; i < problem.num_models(); ++i) {
+      if (placement.placed(m, i)) coverage.add(m, i);
     }
+    eval.server_loads[m] = coverage.server_load(m);
   }
+  eval.hit_mass = coverage.hit_mass();
   return eval;
 }
 

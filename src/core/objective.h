@@ -7,6 +7,12 @@
 // marginal gain of a candidate placement x_{m,i} is a single pass over the
 // problem's hit list for (m,i). This is also exactly the paper's I2
 // bookkeeping in the successive greedy decomposition (Eq. 11).
+//
+// One joint walk: the compute-constrained objective (evaluate_joint) is
+// CoverageState::add applied in canonical order, so the solvers' commit walk
+// and the evaluator are the same code. sim::Evaluator routes constrained
+// topologies here; tests/property_test.cc checks it against an independent
+// brute-force walk over eligible().
 #pragma once
 
 #include <stdexcept>
@@ -22,7 +28,8 @@ namespace trimcaching::core {
 /// Evaluates U(X) from scratch (Eq. 2). On compute-constrained problems this
 /// dispatches to the joint objective below (normalized hit mass of the
 /// canonical assignment); on the default unconstrained problem it is the
-/// classic storage-only union and bit-identical to the pre-compute code.
+/// classic storage-only union, summed in placement order (models_on): the
+/// canonical order would round differently on some placements.
 [[nodiscard]] double expected_hit_ratio(const PlacementProblem& problem,
                                         const PlacementSolution& placement);
 
@@ -31,14 +38,15 @@ namespace trimcaching::core {
 /// holder m has the bytes cached (x_{m,i} = 1, I1(m,k,i) = 1) *and* enough
 /// compute headroom to run the expected inference load p_{k,i} · c_{k,i}.
 ///
-/// Which holder serves which request is pinned by the *canonical assignment*
-/// so every implementation (core, sim::EvalPlan, tiled)
-/// agrees bit for bit: walk servers m in ascending id order, models i in
-/// ascending id order where x_{m,i} = 1, then the (m, i) hit list in
-/// ascending user order; serve a still-uncovered pair iff
-/// load_m + p·c <= C_m, committing the charge. Feasibility
-/// (server_loads[m] <= compute_capacity(m)) holds by construction, and with
-/// every capacity at +inf the result equals the storage-only union exactly.
+/// Which holder serves which request is pinned by the *canonical assignment*:
+/// walk servers m in ascending id order, models i in ascending id order
+/// where x_{m,i} = 1, then the (m, i) hit list in ascending user order;
+/// serve a still-uncovered pair iff load_m + p·c <= C_m, committing the
+/// charge. It runs as CoverageState::add over that order. Feasibility
+/// (server_loads[m] <= compute_capacity(m)) holds by construction. On an
+/// unconstrained problem no charge is committed — every server_loads[m] is 0,
+/// as CoverageState::server_load reports — and hit_mass is the storage-only
+/// union summed in canonical order.
 struct JointEvaluation {
   double hit_mass = 0.0;               ///< un-normalized served mass
   std::vector<double> server_loads;    ///< committed compute load per server

@@ -91,10 +91,10 @@ double largest_passing(double guess, Pass pass) {
 }
 }  // namespace
 
-// The predicates are the Eq. 4 / Eq. 5 latency expressions exactly as the
-// joint walk below evaluates them. The library builds ISO C++ (no GNU
-// extensions), so GCC does not contract them into an FMA and each rounds
-// as written.
+// The predicates are the Eq. 4 / Eq. 5 latency expressions exactly as
+// core::PlacementProblem::eligible evaluates them. The library builds ISO
+// C++ (no GNU extensions), so GCC does not contract them into an FMA and each
+// rounds as written.
 double direct_threshold(double payload_bits, double budget_s) {
   return largest_passing(budget_s / payload_bits, [&](double x) {
     return payload_bits * x <= budget_s;  // Eq. 4
@@ -110,8 +110,7 @@ double relay_threshold(double payload_bits, double budget_s, double backhaul_bps
 
 EvalPlan::EvalPlan(const wireless::NetworkTopology& topology,
                    const model::ModelLibrary& library,
-                   const workload::RequestModel& requests,
-                   std::size_t build_threads) {
+                   const workload::RequestModel& requests) {
   if (requests.num_users() != topology.num_users() ||
       requests.num_models() != library.num_models()) {
     throw std::invalid_argument("EvalPlan: dimension mismatch");
@@ -120,35 +119,21 @@ EvalPlan::EvalPlan(const wireless::NetworkTopology& topology,
   num_servers_ = topology.num_servers();
   num_models_ = library.num_models();
   revision_ = topology.revision();
-  backhaul_bps_ = topology.radio().backhaul_bps;
   total_mass_ = requests.total_mass();
-  build_threads_ = support::resolve_threads(build_threads);
 
-  // Link spans come straight from the topology's flat CSR views. The double
-  // arrays are filled chunk-parallel over the same static partition the
-  // evaluation loops use, so first-touch places each page next to the worker
-  // that will stream it.
+  // Link spans come straight from the topology's flat CSR views.
   link_offsets_ = topology.covering_offsets();
   link_server_ = topology.covering_flat();
-  const std::size_t links = link_server_.size();
-  link_bandwidth_hz_.reallocate(links);
-  link_mean_snr_.reallocate(links);
-  avg_inv_rate_.reallocate(links);
-  support::first_touch_copy(link_bandwidth_hz_.data(),
-                            topology.link_bandwidth_hz().data(), links,
-                            build_threads_);
-  support::first_touch_copy(link_mean_snr_.data(),
-                            topology.link_mean_snr().data(), links,
-                            build_threads_);
+  link_bandwidth_hz_ = topology.link_bandwidth_hz();
+  link_mean_snr_ = topology.link_mean_snr();
   const std::vector<double>& avg_rate = topology.link_avg_rate_bps();
-  support::parallel_for_chunks(
-      links, build_threads_, [&](std::size_t begin, std::size_t end) {
-        for (std::size_t l = begin; l < end; ++l) {
-          avg_inv_rate_[l] = avg_rate[l] > 0 ? 1.0 / avg_rate[l] : kInf;
-        }
-      });
+  avg_inv_rate_.resize(avg_rate.size());
+  for (std::size_t l = 0; l < avg_rate.size(); ++l) {
+    avg_inv_rate_[l] = avg_rate[l] > 0 ? 1.0 / avg_rate[l] : kInf;
+  }
 
   // Request rows, pre-filtered to the pairs that can ever score.
+  const double backhaul_bps = topology.radio().backhaul_bps;
   row_offsets_.assign(num_users_ + 1, 0);
   std::vector<double> payload_bits(num_models_);
   for (ModelId i = 0; i < num_models_; ++i) {
@@ -160,20 +145,10 @@ EvalPlan::EvalPlan(const wireless::NetworkTopology& topology,
       if (p <= 0.0) continue;
       const double budget = requests.deadline_s(k, i) - requests.inference_s(k, i);
       if (budget <= 0.0) continue;
-      rows_.push_back(Row{i, p, payload_bits[i], budget,
-                          direct_threshold(payload_bits[i], budget),
-                          relay_threshold(payload_bits[i], budget, backhaul_bps_)});
-      row_cost_.push_back(requests.compute_cost(k, i));
+      rows_.push_back(Row{i, p, direct_threshold(payload_bits[i], budget),
+                          relay_threshold(payload_bits[i], budget, backhaul_bps)});
     }
     row_offsets_[k + 1] = rows_.size();
-  }
-
-  // Joint-constraint snapshot (position-independent, so mobility deltas
-  // never touch it).
-  compute_constrained_ = topology.compute_constrained();
-  compute_caps_.assign(num_servers_, kInf);
-  for (ServerId m = 0; m < num_servers_; ++m) {
-    compute_caps_[m] = topology.compute_capacity(m);
   }
 }
 
@@ -194,8 +169,8 @@ void EvalPlan::apply_delta(const wireless::NetworkTopology& topology,
   // Request rows do not depend on positions and stay untouched.
   const std::vector<std::size_t>& new_offsets = topology.covering_offsets();
   const std::vector<double>& new_rate = topology.link_avg_rate_bps();
-  support::FirstTouchArray& new_inv = inv_scratch_;
-  new_inv.reallocate(new_rate.size());
+  std::vector<double>& new_inv = inv_scratch_;
+  new_inv.resize(new_rate.size());
   std::size_t next_dirty = 0;
   for (UserId k = 0; k < num_users_; ++k) {
     const bool dirty = next_dirty < delta.dirty_users.size() &&
@@ -216,15 +191,8 @@ void EvalPlan::apply_delta(const wireless::NetworkTopology& topology,
   }
   link_offsets_ = new_offsets;
   link_server_ = topology.covering_flat();
-  const std::size_t links = link_server_.size();
-  link_bandwidth_hz_.reallocate(links);
-  link_mean_snr_.reallocate(links);
-  support::first_touch_copy(link_bandwidth_hz_.data(),
-                            topology.link_bandwidth_hz().data(), links,
-                            build_threads_);
-  support::first_touch_copy(link_mean_snr_.data(),
-                            topology.link_mean_snr().data(), links,
-                            build_threads_);
+  link_bandwidth_hz_ = topology.link_bandwidth_hz();
+  link_mean_snr_ = topology.link_mean_snr();
   avg_inv_rate_.swap(inv_scratch_);  // scratch keeps capacity for the next slot
   revision_ = delta.to_revision;
   // Link indices shifted with the spans: the cached lowering is stale.
@@ -335,7 +303,6 @@ void EvalPlan::hit_ratios(const PlacementLowering& lowering,
 
 double EvalPlan::expected_hit_ratio(const core::PlacementSolution& placement) const {
   check_placement(placement);
-  if (compute_constrained_) return expected_hit_ratio_joint(placement);
   // The average rates broadcast into every lane of one block.
   const std::size_t links = num_links();
   std::vector<double>& blocked =
@@ -346,81 +313,6 @@ double EvalPlan::expected_hit_ratio(const core::PlacementSolution& placement) co
   double ratios[kLaneBlock];
   hit_ratios(lowered(placement), blocked.data(), ratios);
   return ratios[0];
-}
-
-double EvalPlan::expected_hit_ratio_joint(
-    const core::PlacementSolution& placement) const {
-  // The canonical joint assignment of core::evaluate_joint replayed over the
-  // arena: servers ascending, placed models ascending, users ascending; a
-  // still-uncovered eligible pair is served iff the holder has compute
-  // headroom for mass * cost. Bit-identity with the core evaluator rests on
-  // (a) the same per-(m, k) latency inputs PlacementProblem::build_links
-  // derives — rebuilt here from the link spans — and (b) accumulating mass
-  // and load in the identical order with identical charges.
-  const std::size_t M = num_servers_;
-  const std::size_t K = num_users_;
-  const std::size_t I = num_models_;
-
-  // Per-(m, k) inverse effective rate and association: direct links take
-  // their own average inverse rate, everything else falls back to the best
-  // covering link (the Eq. 5 relay head).
-  std::vector<double> inv_eff(M * K, kInf);
-  std::vector<char> assoc(M * K, 0);
-  for (UserId k = 0; k < K; ++k) {
-    double relay_inv = kInf;
-    for (std::size_t l = link_offsets_[k]; l < link_offsets_[k + 1]; ++l) {
-      relay_inv = std::min(relay_inv, avg_inv_rate_[l]);
-    }
-    for (std::size_t m = 0; m < M; ++m) inv_eff[m * K + k] = relay_inv;
-    for (std::size_t l = link_offsets_[k]; l < link_offsets_[k + 1]; ++l) {
-      const std::size_t m = link_server_[l];
-      assoc[m * K + k] = 1;
-      inv_eff[m * K + k] = avg_inv_rate_[l];
-    }
-  }
-
-  // Model-major row lookup so the walk can visit users in ascending order
-  // per (m, i); the covered flags share the same i * K + k layout the core
-  // evaluator uses.
-  std::vector<std::int32_t> row_of(I * K, -1);
-  for (UserId k = 0; k < K; ++k) {
-    for (std::size_t r = row_offsets_[k]; r < row_offsets_[k + 1]; ++r) {
-      row_of[static_cast<std::size_t>(rows_[r].model) * K + k] =
-          static_cast<std::int32_t>(r);
-    }
-  }
-  std::vector<char> covered(I * K, 0);
-
-  double hit_mass = 0.0;
-  for (std::size_t m = 0; m < M; ++m) {
-    const double cap = compute_caps_[m];
-    double load = 0.0;
-    for (ModelId i = 0; i < I; ++i) {
-      if (!placement.placed(m, i)) continue;
-      for (UserId k = 0; k < K; ++k) {
-        const std::int32_t r = row_of[static_cast<std::size_t>(i) * K + k];
-        if (r < 0) continue;
-        const double inv = inv_eff[m * K + k];
-        if (inv == kInf) continue;
-        const Row& row = rows_[static_cast<std::size_t>(r)];
-        const double latency = assoc[m * K + k]
-                                   ? row.payload_bits * inv
-                                   : row.payload_bits / backhaul_bps_ +
-                                         row.payload_bits * inv;
-        if (latency > row.budget_s) continue;  // Eq. 3 eligibility
-        char& flag = covered[static_cast<std::size_t>(i) * K + k];
-        if (flag) continue;
-        const double charge =
-            row.probability * row_cost_[static_cast<std::size_t>(r)];
-        if (load + charge <= cap) {
-          flag = 1;
-          load += charge;
-          hit_mass += row.probability;
-        }
-      }
-    }
-  }
-  return total_mass_ > 0 ? hit_mass / total_mass_ : 0.0;
 }
 
 support::Summary EvalPlan::fading_hit_ratio(const core::PlacementSolution& placement,
@@ -446,9 +338,8 @@ support::Summary EvalPlan::fading_hit_ratio(const core::PlacementSolution& place
   // pass sees bit-identical inputs and any block/chunk grouping — hence
   // any thread count — yields identical ratios. A chunk's tail block is
   // padded with copies of its first lane and the padding ratios dropped.
-  // Static chunking (not the dynamic counter) so each worker touches a
-  // contiguous realization range — the partition first_touch_copy used for
-  // the link arrays.
+  // Static chunking keeps each worker on one contiguous realization range,
+  // so lane blocks are only padded at chunk tails.
   const PlacementLowering& lowering = lowered(placement);
   const support::simd::Ops& ops = support::simd::ops();
   support::parallel_for_chunks(

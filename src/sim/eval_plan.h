@@ -9,13 +9,16 @@
 //   * per user, a contiguous *link span* over the covering servers (M_k)
 //     carrying precomputed bandwidth share, mean SNR, and average inverse
 //     rate — a realization's rate is just bw * log2(1 + snr * |h|^2);
-//   * per user, a contiguous span of *request rows* (model, probability,
-//     payload bits, deadline slack and the row's two hit thresholds),
-//     pre-filtered to p > 0 and positive slack.
+//   * per user, a contiguous span of *request rows* (model, probability and
+//     the row's two hit thresholds), pre-filtered to p > 0 and positive
+//     deadline slack.
 //
-// Both expected_hit_ratio (Eq. 2) and fading_hit_ratio then reduce to tight
-// loops over these arrays with one reusable per-thread inverse-rate scratch
-// buffer — no per-realization allocation.
+// Both expected_hit_ratio (Eq. 2, storage-only) and fading_hit_ratio then
+// reduce to tight loops over these arrays with one reusable per-thread
+// inverse-rate scratch buffer — no per-realization allocation. The plan holds
+// only what that storage/fading hit kernel reads: the joint caching + compute
+// objective is core::evaluate_joint's walk, which sim::Evaluator routes to on
+// compute-constrained topologies.
 //
 // Determinism contract: realization r draws its gains from the key
 // rng.stream_key(kFadingStream, r), which depends only on the base Rng's
@@ -57,8 +60,8 @@
 //
 // Scratch buffers live in the per-thread WorkerArena (support/parallel.h) —
 // reused across realizations, shrunk when a small scenario follows a huge
-// one — and the SoA link arrays are FirstTouchArrays filled chunk-parallel,
-// so on NUMA machines the pages sit next to the workers that stream them.
+// one. The link arrays are plain vectors: the fading pass shards
+// realizations, so every worker streams every link.
 #pragma once
 
 #include <cstdint>
@@ -67,7 +70,6 @@
 #include "src/core/placement.h"
 #include "src/model/model_library.h"
 #include "src/support/ids.h"
-#include "src/support/parallel.h"
 #include "src/support/rng.h"
 #include "src/support/stats.h"
 #include "src/wireless/topology.h"
@@ -96,14 +98,10 @@ inline constexpr std::uint64_t kFadingStream = 0xFADEull;
 class EvalPlan {
  public:
   /// Snapshots the topology's current association/gain structure. Throws
-  /// std::invalid_argument on dimension mismatches. `build_threads` workers
-  /// (0 = hardware concurrency) fill the SoA link arrays chunk-parallel with
-  /// the same static partition the evaluation loops use — the NUMA
-  /// first-touch handshake; the arrays' *values* do not depend on it.
+  /// std::invalid_argument on dimension mismatches.
   EvalPlan(const wireless::NetworkTopology& topology,
            const model::ModelLibrary& library,
-           const workload::RequestModel& requests,
-           std::size_t build_threads = 1);
+           const workload::RequestModel& requests);
 
   /// Patches the plan in place to the topology's current snapshot using the
   /// dirty user set of `delta`: only the named users' link spans have their
@@ -122,11 +120,9 @@ class EvalPlan {
   /// The NetworkTopology::revision() this plan was built from.
   [[nodiscard]] std::uint64_t topology_revision() const noexcept { return revision_; }
 
-  /// Expected hit ratio under average rates (Eq. 2 on this snapshot). When
-  /// the topology is compute-constrained this is the *joint* objective: the
-  /// canonical greedy compute assignment of core::evaluate_joint replayed
-  /// over this arena, bit-identical to the core evaluator on the same
-  /// snapshot (same walk order, same latency arithmetic, same charges).
+  /// Expected hit ratio under average rates: the storage-only Eq. 2 on this
+  /// snapshot (compute capacities are not consulted; sim::Evaluator sends
+  /// compute-constrained topologies to core::expected_hit_ratio instead).
   /// Maintains the placement-lowering cache (see fading_hit_ratio).
   [[nodiscard]] double expected_hit_ratio(const core::PlacementSolution& placement) const;
 
@@ -153,10 +149,8 @@ class EvalPlan {
   struct Row {
     ModelId model;
     double probability;
-    double payload_bits;
-    double budget_s;      ///< deadline minus on-device inference (slack)
-    double theta_direct;  ///< direct_threshold(payload_bits, budget_s)
-    double theta_relay;   ///< relay_threshold(payload_bits, budget_s, backhaul)
+    double theta_direct;  ///< direct_threshold(payload bits, deadline slack)
+    double theta_relay;   ///< relay_threshold(payload bits, slack, backhaul)
   };
 
   /// Per-call lowering of a placement against this arena: a compact
@@ -184,13 +178,6 @@ class EvalPlan {
   [[nodiscard]] const PlacementLowering& lowered(
       const core::PlacementSolution& placement) const;
 
-  /// Joint caching + compute objective under average rates: the canonical
-  /// server-major assignment (servers ascending, placed models ascending,
-  /// users ascending) with per-server compute accounting — the EvalPlan
-  /// mirror of core::evaluate_joint. Only called when compute_constrained_.
-  [[nodiscard]] double expected_hit_ratio_joint(
-      const core::PlacementSolution& placement) const;
-
   /// The hit pass: kLaneBlock (8) realizations per row walk over vertically
   /// interleaved inverse rates (inv_blocked[link * 8 + lane]). Writes
   /// ratios[0..8); each lane is the hit ratio of that lane's own
@@ -204,36 +191,23 @@ class EvalPlan {
   std::size_t num_servers_ = 0;
   std::size_t num_models_ = 0;
   std::uint64_t revision_ = 0;
-  double backhaul_bps_ = 0.0;
   double total_mass_ = 0.0;
 
-  std::size_t build_threads_ = 1;
-
-  // Link spans: user k owns [link_offsets_[k], link_offsets_[k+1]). The
-  // double arrays are FirstTouchArrays filled chunk-parallel so their pages
-  // land on the NUMA nodes of the workers that stream them.
+  // Link spans: user k owns [link_offsets_[k], link_offsets_[k+1]).
   std::vector<std::size_t> link_offsets_;
   std::vector<ServerId> link_server_;
-  support::FirstTouchArray link_bandwidth_hz_;
-  support::FirstTouchArray link_mean_snr_;
-  support::FirstTouchArray avg_inv_rate_;  ///< 1 / C̄, +inf where the rate is 0
+  std::vector<double> link_bandwidth_hz_;
+  std::vector<double> link_mean_snr_;
+  std::vector<double> avg_inv_rate_;  ///< 1 / C̄, +inf where the rate is 0
 
   // Request rows: user k owns [row_offsets_[k], row_offsets_[k+1]).
   // Position-independent, thresholds included: apply_delta carries them.
   std::vector<std::size_t> row_offsets_;
   std::vector<Row> rows_;
 
-  // Joint-constraint snapshot: per-row compute charge-rate (parallel to
-  // rows_, so the hot Row struct keeps its layout) and per-server compute
-  // capacities (+inf = unlimited). Both position-independent: carried
-  // unchanged across apply_delta.
-  std::vector<double> row_cost_;
-  std::vector<double> compute_caps_;
-  bool compute_constrained_ = false;
-
   // apply_delta ping-pong scratch: keeps capacity across mobility slots so
   // steady-state incremental updates do not allocate.
-  support::FirstTouchArray inv_scratch_;
+  std::vector<double> inv_scratch_;
 
   // Placement-lowering cache (the hit test's per-placement setup). A cached
   // revision of 0 means "empty" — PlacementSolution revisions are never 0.

@@ -2,7 +2,7 @@
 
 #include <stdexcept>
 
-#include "src/support/parallel.h"
+#include "src/core/objective.h"
 #include "src/support/timing.h"
 
 namespace trimcaching::sim {
@@ -61,14 +61,22 @@ const EvalPlan& Evaluator::plan() const {
   // Full rebuild: first use, a full-rebuild delta, or a delta chain we
   // missed (more than one revision behind).
   const auto start = Clock::now();
-  plan_ = std::make_unique<EvalPlan>(*topology_, *library_, *requests_,
-                                     build_threads_);
+  plan_ = std::make_unique<EvalPlan>(*topology_, *library_, *requests_);
   stats_.build_seconds += seconds_since(start);
   ++stats_.builds;
   return *plan_;
 }
 
 double Evaluator::expected_hit_ratio(const core::PlacementSolution& placement) const {
+  if (topology_->compute_constrained()) {
+    const std::uint64_t revision = topology_->revision();
+    if (!problem_ || problem_revision_ != revision) {
+      problem_ = std::make_unique<core::PlacementProblem>(*topology_, *library_,
+                                                          *requests_);
+      problem_revision_ = revision;
+    }
+    return core::expected_hit_ratio(*problem_, placement);
+  }
   return counting_lowerings(plan(), stats_, [&](const EvalPlan& current) {
     return current.expected_hit_ratio(placement);
   });
@@ -78,7 +86,6 @@ support::Summary Evaluator::fading_hit_ratio(const core::PlacementSolution& plac
                                              std::size_t realizations,
                                              const support::Rng& rng,
                                              std::size_t threads) const {
-  build_threads_ = support::resolve_threads(threads);
   return counting_lowerings(plan(), stats_, [&](const EvalPlan& current) {
     return current.fading_hit_ratio(placement, realizations, rng, threads);
   });

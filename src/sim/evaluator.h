@@ -23,6 +23,12 @@
 //   * otherwise (first use, full rebuild fallback, skipped revisions) a
 //     fresh plan is built.
 //
+// On a compute-constrained topology, expected_hit_ratio is the joint caching +
+// compute objective, and the Evaluator returns core::expected_hit_ratio over
+// a core::PlacementProblem of the current snapshot — the one canonical joint
+// walk (core::evaluate_joint). That problem is built lazily, once per
+// topology revision, like the plan; it never touches the plan.
+//
 // plan_stats() exposes counts and wall-clock of both maintenance paths for
 // the mobility benches. The lazy cache makes the façade non-thread-safe:
 // share an Evaluator within one thread only (fading_hit_ratio itself fans
@@ -33,6 +39,7 @@
 #include <memory>
 
 #include "src/core/placement.h"
+#include "src/core/problem.h"
 #include "src/model/model_library.h"
 #include "src/sim/eval_plan.h"
 #include "src/support/rng.h"
@@ -62,7 +69,8 @@ class Evaluator {
             const workload::RequestModel& requests);
 
   /// Expected hit ratio under average rates (Eq. 2 recomputed from the
-  /// topology's current user positions).
+  /// topology's current user positions). Compute-constrained topologies get
+  /// the joint objective of core::expected_hit_ratio (see the file comment).
   [[nodiscard]] double expected_hit_ratio(const core::PlacementSolution& placement) const;
 
   /// Monte-Carlo hit ratio over Rayleigh fading realizations, sharded over
@@ -93,9 +101,10 @@ class Evaluator {
   const workload::RequestModel* requests_;
   mutable std::unique_ptr<EvalPlan> plan_;
   mutable PlanMaintenanceStats stats_;
-  /// Thread count the next full plan build first-touches its arrays with
-  /// (kept at the last fading_hit_ratio's resolved count).
-  mutable std::size_t build_threads_ = 1;
+  /// The joint objective's problem for topology revision problem_revision_
+  /// (compute-constrained topologies only; rebuilt when the revision moves).
+  mutable std::unique_ptr<core::PlacementProblem> problem_;
+  mutable std::uint64_t problem_revision_ = 0;
 };
 
 }  // namespace trimcaching::sim

@@ -3,52 +3,17 @@
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
-#include <cstdlib>
-#include <cstring>
 #include <deque>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <thread>
 #include <vector>
-
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
 
 namespace trimcaching::support {
 
 namespace {
 
 thread_local bool tl_in_region = false;
-
-// Opt-in worker pinning (TRIMCACHING_AFFINITY=1/on/true): worker i is bound
-// to cpu i mod hardware_threads() at creation. Pinning keeps a worker's
-// first-touched pages local to it for the life of the process (the scheduler
-// can no longer migrate the thread off its NUMA node), at the cost of
-// sharing badly with other processes — hence opt-in, benchmarks only.
-bool affinity_requested() {
-  static const bool enabled = [] {
-    const char* env = std::getenv("TRIMCACHING_AFFINITY");
-    if (env == nullptr) return false;
-    const std::string value(env);
-    return value == "1" || value == "on" || value == "true";
-  }();
-  return enabled;
-}
-
-void pin_to_cpu([[maybe_unused]] std::thread& worker,
-                [[maybe_unused]] std::size_t cpu) {
-#if defined(__linux__)
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(static_cast<int>(cpu), &set);
-  // Best-effort: a failure (cgroup cpuset smaller than hardware_threads,
-  // exotic topology) just leaves the worker unpinned.
-  pthread_setaffinity_np(worker.native_handle(), sizeof(set), &set);
-#endif
-}
 
 // Lazily-grown shared worker pool. Workers pull whole shard tasks; each
 // shard task pulls indices from the parallel_for call's atomic counter, so
@@ -65,9 +30,6 @@ class ThreadPool {
     std::lock_guard<std::mutex> lock(mutex_);
     while (workers_.size() < count) {
       workers_.emplace_back([this] { worker_loop(); });
-      if (affinity_requested()) {
-        pin_to_cpu(workers_.back(), (workers_.size() - 1) % hardware_threads());
-      }
     }
   }
 
@@ -242,23 +204,6 @@ void trim_worker_arenas() {
   ArenaRegistry& registry = arena_registry();
   std::lock_guard<std::mutex> lock(registry.mutex);
   for (auto& arena : registry.arenas) arena->release();
-}
-
-void FirstTouchArray::reallocate(std::size_t n) {
-  if (n > capacity_) {
-    // Uninitialized on purpose — see the class comment. make_unique would
-    // value-initialize (= first-touch everything on this thread).
-    data_ = std::unique_ptr<double[]>(new double[n]);
-    capacity_ = n;
-  }
-  size_ = n;
-}
-
-void first_touch_copy(double* dst, const double* src, std::size_t n,
-                      std::size_t threads) {
-  parallel_for_chunks(n, threads, [dst, src](std::size_t begin, std::size_t end) {
-    std::memcpy(dst + begin, src + begin, (end - begin) * sizeof(double));
-  });
 }
 
 }  // namespace trimcaching::support

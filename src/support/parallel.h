@@ -1,5 +1,6 @@
-// Deterministic parallel runtime: a small shared thread pool plus a
-// parallel_for index loop.
+// Deterministic parallel runtime: a small shared thread pool, a parallel_for
+// index loop with a static-chunk variant, and bounded per-thread scratch
+// arenas.
 //
 // The engine guarantees *bit-identical* results for any thread count by
 // construction: callers shard work per index, every index writes only its
@@ -17,7 +18,6 @@
 #include <cstddef>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <vector>
 
 namespace trimcaching::support {
@@ -44,9 +44,8 @@ void parallel_for(std::size_t n, std::size_t threads,
 /// Runs body(begin, end) over a static contiguous partition of [0, n) into
 /// at most `threads` chunks (sizes differ by at most one index). Unlike
 /// parallel_for's per-index dynamic sharding, the chunk boundaries depend
-/// only on (n, threads) — the partition that first touched a page is the
-/// partition that computes on it, which is what makes first-touch NUMA
-/// placement (FirstTouchArray below) line up with the compute loops.
+/// only on (n, threads), and each chunk is one contiguous range — what
+/// EvalPlan's fading pass needs to group realizations into lane blocks.
 /// Inherits parallel_for's serial rules (threads <= 1, n == 0, nested).
 void parallel_for_chunks(std::size_t n, std::size_t threads,
                          const std::function<void(std::size_t, std::size_t)>& body);
@@ -81,48 +80,5 @@ class WorkerArena {
 /// quiescent: no parallel region may be running (the arenas are not locked
 /// against their owning threads).
 void trim_worker_arenas();
-
-/// A plain double buffer with *uninitialized* allocation, so the first write
-/// — not the constructor — faults the pages in. Used for the EvalPlan SoA
-/// arrays: filling them with parallel_for_chunks places each page on the
-/// NUMA node of the worker that will later stream it (first-touch policy).
-/// Deliberately vector-free: std::vector value-initializes, which would
-/// touch every page on the constructing thread.
-class FirstTouchArray {
- public:
-  FirstTouchArray() = default;
-  explicit FirstTouchArray(std::size_t n) { reallocate(n); }
-
-  /// Resizes to exactly n doubles, contents unspecified. Reuses the current
-  /// allocation when it is large enough (keeps first-touch placement on the
-  /// mobility delta path, where sizes wobble but never explode).
-  void reallocate(std::size_t n);
-
-  [[nodiscard]] std::size_t size() const noexcept { return size_; }
-  [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
-  [[nodiscard]] double* data() noexcept { return data_.get(); }
-  [[nodiscard]] const double* data() const noexcept { return data_.get(); }
-  [[nodiscard]] double& operator[](std::size_t i) noexcept { return data_[i]; }
-  [[nodiscard]] const double& operator[](std::size_t i) const noexcept {
-    return data_[i];
-  }
-
-  void swap(FirstTouchArray& other) noexcept {
-    data_.swap(other.data_);
-    std::swap(size_, other.size_);
-    std::swap(capacity_, other.capacity_);
-  }
-
- private:
-  std::unique_ptr<double[]> data_;
-  std::size_t size_ = 0;
-  std::size_t capacity_ = 0;
-};
-
-/// Copies src[0..n) into dst[0..n) chunk-parallel with the same static
-/// partition as parallel_for_chunks(n, threads, ...), first-touching dst's
-/// pages on the workers that will compute over them.
-void first_touch_copy(double* dst, const double* src, std::size_t n,
-                      std::size_t threads);
 
 }  // namespace trimcaching::support

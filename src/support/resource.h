@@ -52,7 +52,7 @@ void release_freed_memory();
 ///   support::release_freed_memory();
 ///   support::RssSampler sampler;
 ///   run_variant();
-///   record.peak_rss_mb = sampler.stop_and_peak_mb();
+///   record.metrics["peak_rss_mb"] = sampler.stop_and_peak_mb();
 ///
 /// Returns -1 when current_rss_mb() is unavailable. Copying is disabled:
 /// the sampler owns a thread.

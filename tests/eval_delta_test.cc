@@ -11,6 +11,9 @@
 //     documented boundary (strictly-greater comparison);
 //   * the Evaluator never rebuilds on placement-only changes, consumes
 //     chaining deltas, and falls back to a rebuild when the chain breaks;
+//   * on a compute-constrained topology the Evaluator's joint objective
+//     tracks mobility: after each apply_user_moves it equals
+//     core::expected_hit_ratio on a fresh problem of the current topology;
 //   * the hit pass's per-row thresholds are exact: direct_threshold and
 //     relay_threshold return the largest inverse rate the latency tests
 //     pass, over random and adversarial (payload, budget, backhaul) triples;
@@ -26,6 +29,7 @@
 #include <limits>
 #include <vector>
 
+#include "src/core/objective.h"
 #include "src/core/solver_registry.h"
 #include "src/sim/eval_plan.h"
 #include "src/sim/evaluator.h"
@@ -318,6 +322,45 @@ TEST(Evaluator, ConsumesChainingDeltasAndRebuildsOtherwise) {
   scenario.topology.update_user_positions(std::move(positions));
   (void)evaluator.expected_hit_ratio(placement);
   EXPECT_EQ(evaluator.plan_stats().builds, 3u);
+}
+
+TEST(Evaluator, JointObjectiveFollowsMobility) {
+  Rng rng(23);
+  ScenarioConfig config = varied_config(5);
+  config.compute_capacity = 0.03;  // binds: the joint walk rations inference
+  Scenario scenario = build_scenario(config, rng);
+  NetworkTopology& topology = scenario.topology;
+  ASSERT_TRUE(topology.compute_constrained());
+  core::SolverContext context(rng.fork(5));
+  const auto placement = core::SolverRegistry::instance()
+                             .make("gen")
+                             ->run(scenario.problem(), context)
+                             .placement;
+  const Evaluator evaluator(topology, scenario.library, scenario.requests);
+  const auto fresh_value = [&] {
+    const core::PlacementProblem problem(topology, scenario.library, scenario.requests);
+    return core::expected_hit_ratio(problem, placement);
+  };
+
+  const double initial = evaluator.expected_hit_ratio(placement);
+  EXPECT_EQ(initial, fresh_value());
+  // Each round drags a growing set of users into the origin corner; the third
+  // round moves twice before evaluating (a skipped revision).
+  bool moved_value = false;
+  const Point corner{0.0, 0.0};
+  for (std::size_t round = 1; round <= 4; ++round) {
+    std::vector<UserMove> moves;
+    for (UserId k = 0; k < std::min<std::size_t>(2 * round, topology.num_users()); ++k) {
+      moves.push_back(UserMove{k, Point{corner.x + 5.0 * round, corner.y + 3.0 * k}});
+    }
+    (void)topology.apply_user_moves(moves, 1.0);
+    if (round == 3) (void)topology.apply_user_moves({UserMove{0, corner}}, 1.0);
+    const double value = evaluator.expected_hit_ratio(placement);
+    EXPECT_EQ(value, fresh_value()) << "round " << round;
+    if (value != initial) moved_value = true;
+  }
+  EXPECT_TRUE(moved_value) << "no move changed the joint objective: the "
+                              "stale-problem check tested nothing";
 }
 
 struct ThresholdCase {

@@ -13,7 +13,9 @@
 //     independent Eq. 2 recompute — both through core::expected_hit_ratio
 //     and through the Evaluator's flat-plan arithmetic;
 //   * tiling determinism: the tile fan-out at threads {2, 4} reproduces the
-//     serial tiled solve bit for bit, storage-only and joint.
+//     serial tiled solve bit for bit, storage-only and joint;
+//   * joint honesty: core::evaluate_joint equals a brute-force canonical
+//     walk over eligible() (hit mass and every server load, bit for bit).
 //
 // The exact solver is exponential, so it runs on dedicated tiny instances
 // where its optimality over the greedy family is asserted as well.
@@ -22,6 +24,7 @@
 #include <cstdint>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/objective.h"
@@ -230,6 +233,105 @@ void check_joint_invariants(const core::PlacementProblem& problem,
   const double mass = problem.total_mass();
   EXPECT_NEAR(reported_hit, mass > 0.0 ? joint.hit_mass / mass : 0.0, 1e-9)
       << label;
+}
+
+/// Brute-force canonical joint walk straight from the problem's primitives:
+/// eligible(), request_probability() and compute_cost() — no hit lists, no
+/// CoverageState. Servers ascending, placed models ascending, users
+/// ascending; a still-unserved eligible pair is served iff its charge fits
+/// the holder's remaining compute. `refused` counts pairs turned away for
+/// compute alone (so a caller can tell the cap actually bound).
+core::JointEvaluation brute_force_joint(const core::PlacementProblem& problem,
+                                        const core::PlacementSolution& placement,
+                                        std::size_t& refused) {
+  const std::size_t num_users = problem.num_users();
+  core::JointEvaluation eval;
+  eval.server_loads.assign(problem.num_servers(), 0.0);
+  std::vector<char> served(num_users * problem.num_models(), 0);
+  for (ServerId m = 0; m < problem.num_servers(); ++m) {
+    const double cap = problem.compute_capacity(m);
+    for (ModelId i = 0; i < problem.num_models(); ++i) {
+      if (!placement.placed(m, i)) continue;
+      for (UserId k = 0; k < num_users; ++k) {
+        const double p = problem.request_probability(k, i);
+        if (p <= 0.0 || !problem.eligible(m, k, i)) continue;
+        char& flag = served[static_cast<std::size_t>(i) * num_users + k];
+        if (flag) continue;
+        const double charge = p * problem.compute_cost(k, i);
+        if (eval.server_loads[m] + charge <= cap) {
+          flag = 1;
+          eval.server_loads[m] += charge;
+          eval.hit_mass += p;
+        } else {
+          ++refused;
+        }
+      }
+    }
+  }
+  return eval;
+}
+
+TEST(SolverInvariants, JointEvaluationMatchesBruteForceWalk) {
+  // evaluate_joint runs the solvers' own CoverageState commit walk, so this
+  // oracle is what keeps the joint objective honest independently of them.
+  // Placements: solver outputs on the binding-capacity problem plus the
+  // all-models-everywhere placement (maximal holder overlap), each scored at
+  // capacities from 0 (serves nothing) to loose. The generator draws no
+  // randomness for the capacity knob, so only the capacities differ.
+  std::size_t refused = 0;
+  double served_mass = 0.0;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    for (const bool general : {false, true}) {
+      const auto scenario_at = [&](double capacity) {
+        sim::ScenarioConfig config = small_config(general);
+        config.compute_capacity = capacity;
+        Rng rng(1000 + seed);
+        return sim::build_scenario(config, rng);
+      };
+      const sim::Scenario binding = scenario_at(kBindingComputeCapacity);
+      const core::PlacementProblem binding_problem = binding.problem();
+      std::vector<std::pair<std::string, core::PlacementSolution>> placements;
+      for (const std::string spec : {"gen", "spec", "independent", "gen+ls"}) {
+        core::SolverContext context{Rng(seed)};
+        const auto solver = core::SolverRegistry::instance().make(spec);
+        placements.emplace_back(spec, solver->run(binding_problem, context).placement);
+      }
+      core::PlacementSolution everywhere(binding_problem.num_servers(),
+                                         binding_problem.num_models());
+      for (ServerId m = 0; m < everywhere.num_servers(); ++m) {
+        for (ModelId i = 0; i < everywhere.num_models(); ++i) everywhere.place(m, i);
+      }
+      placements.emplace_back("everywhere", everywhere);
+
+      for (const double capacity : {0.0, 0.03, kBindingComputeCapacity, 0.3}) {
+        const sim::Scenario scenario = scenario_at(capacity);
+        const core::PlacementProblem problem = scenario.problem();
+        ASSERT_TRUE(problem.compute_constrained());
+        for (const auto& [name, placement] : placements) {
+          const std::string label = "oracle " + name +
+                                    (general ? " general" : " special") +
+                                    " cap=" + std::to_string(capacity) +
+                                    " seed=" + std::to_string(seed);
+          const core::JointEvaluation expected =
+              brute_force_joint(problem, placement, refused);
+          const core::JointEvaluation actual = core::evaluate_joint(problem, placement);
+          EXPECT_EQ(actual.hit_mass, expected.hit_mass) << label;
+          ASSERT_EQ(actual.server_loads.size(), expected.server_loads.size()) << label;
+          for (ServerId m = 0; m < problem.num_servers(); ++m) {
+            EXPECT_EQ(actual.server_loads[m], expected.server_loads[m])
+                << label << " server " << m;
+          }
+          if (capacity == 0.0) {
+            EXPECT_EQ(actual.hit_mass, 0.0) << label;
+          }
+          served_mass += expected.hit_mass;
+        }
+      }
+    }
+  }
+  // Neither degenerate: the grid both serves and refuses requests.
+  EXPECT_GT(served_mass, 0.0);
+  EXPECT_GT(refused, 0u);
 }
 
 TEST(SolverInvariants, JointComputeUnlimitedDefaultReducesToTheStorageUnion) {

@@ -18,7 +18,7 @@
 //   * the channel's batch sampler delegates to the dispatched backend;
 //   * Rng::stream_key matches Rng::at(...).seed();
 //   * WorkerArena reuses and shrinks slot buffers; parallel_for_chunks
-//     partitions exactly; FirstTouchArray/first_touch_copy preserve values;
+//     partitions exactly;
 //   * PlacementSolution::revision moves on real mutations only, and the
 //     EvalPlan lowering cache keyed on it reports builds/hits (also through
 //     Evaluator::plan_stats) and invalidates on apply_delta.
@@ -318,34 +318,6 @@ TEST(ParallelForChunks, PartitionsExactlyOnce) {
       }
     }
   }
-}
-
-TEST(FirstTouchArray, ReallocateSwapAndParallelCopy) {
-  support::FirstTouchArray arr;
-  ASSERT_TRUE(arr.empty());
-  arr.reallocate(100);
-  ASSERT_EQ(arr.size(), 100u);
-
-  std::vector<double> src(100);
-  for (std::size_t i = 0; i < src.size(); ++i) src[i] = 0.5 * i;
-  support::first_touch_copy(arr.data(), src.data(), src.size(), 4);
-  for (std::size_t i = 0; i < src.size(); ++i) {
-    ASSERT_EQ(arr[i], src[i]) << i;
-  }
-
-  // Shrinking reuses the allocation; growing reallocates. Either way the
-  // size is exact.
-  const double* before = arr.data();
-  arr.reallocate(10);
-  ASSERT_EQ(arr.size(), 10u);
-  ASSERT_EQ(arr.data(), before);
-  arr.reallocate(200);
-  ASSERT_EQ(arr.size(), 200u);
-
-  support::FirstTouchArray other(3);
-  arr.swap(other);
-  ASSERT_EQ(arr.size(), 3u);
-  ASSERT_EQ(other.size(), 200u);
 }
 
 // ---------------------------------------------------------------------------
