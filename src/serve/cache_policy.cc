@@ -20,6 +20,7 @@ void CachePolicy::bind(const model::ModelLibrary& library, support::Bytes capaci
   library_ = &library;
   capacity_ = capacity;
   cached_.assign(library.num_blocks(), 0);
+  pinned_.assign(library.num_blocks(), 0);
   // Never-requested blocks start at the bottom of every score order.
   score_.assign(library.num_blocks(), kNeverTouched);
 }
@@ -57,12 +58,13 @@ void CachePolicy::on_request(ModelId i, double now) {
 void CachePolicy::admit(ModelId i, double now) {
   (void)now;
   if (library_->model_size(i) > capacity_) return;  // pass-through download
-  std::vector<char> pinned(library_->num_blocks(), 0);
-  for (const BlockId j : library_->model(i).blocks) {
-    pinned[j] = 1;
+  const auto& blocks = library_->model(i).blocks;
+  for (const BlockId j : blocks) {
+    pinned_[j] = 1;
     insert_block(j);
   }
-  evict_until_fits(pinned);
+  evict_until_fits();
+  for (const BlockId j : blocks) pinned_[j] = 0;
 }
 
 void CachePolicy::restart() {
@@ -80,10 +82,10 @@ void CachePolicy::insert_block(BlockId j) {
   order_.insert({score_[j], j});
 }
 
-void CachePolicy::evict_until_fits(const std::vector<char>& pinned) {
+void CachePolicy::evict_until_fits() {
   auto victim = order_.begin();
   while (used_ > capacity_ && victim != order_.end()) {
-    if (pinned[victim->second]) {
+    if (pinned_[victim->second]) {
       ++victim;  // the admitted model's own blocks are never evicted
       continue;
     }

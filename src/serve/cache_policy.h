@@ -96,13 +96,16 @@ class CachePolicy {
 
  private:
   void insert_block(BlockId j);
-  void evict_until_fits(const std::vector<char>& pinned);
+  void evict_until_fits();
 
   const model::ModelLibrary* library_ = nullptr;
   support::Bytes capacity_ = 0;
   support::Bytes used_ = 0;
   std::size_t evictions_ = 0;
   std::vector<char> cached_;
+  /// The blocks of the model being admitted (never evicted by that admit);
+  /// all zero between admit() calls, so admit clears only what it set.
+  std::vector<char> pinned_;
   std::vector<double> score_;
   /// Cached blocks ordered by (score, id); begin() is the eviction victim.
   std::set<std::pair<double, BlockId>> order_;

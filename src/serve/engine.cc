@@ -7,6 +7,7 @@
 #include <queue>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -20,12 +21,17 @@
 namespace trimcaching::serve {
 
 void ServeConfig::validate() const {
-  if (arrival_rate_per_user <= 0) {
-    throw std::invalid_argument("ServeConfig: arrival rate must be > 0");
-  }
-  if (duration_s <= 0) throw std::invalid_argument("ServeConfig: duration must be > 0");
-  if (cloud_rate_bps <= 0) {
-    throw std::invalid_argument("ServeConfig: cloud rate must be > 0");
+  // An infinite rate or duration never ends generation's arrival loop; a NaN
+  // one silently issues nothing.
+  for (const auto& [name, value] :
+       {std::pair{"arrival_rate_per_user", arrival_rate_per_user},
+        std::pair{"duration_s", duration_s},
+        std::pair{"cloud_rate_bps", cloud_rate_bps}}) {
+    if (!std::isfinite(value) || value <= 0) {
+      throw std::invalid_argument(std::string("ServeConfig: ") + name +
+                                  " must be finite and > 0 (got " +
+                                  std::to_string(value) + ")");
+    }
   }
   if (std::isnan(rewarm_fraction) || rewarm_fraction <= 0 || rewarm_fraction > 1) {
     throw std::invalid_argument("ServeConfig: rewarm fraction must be in (0, 1]");
@@ -55,7 +61,6 @@ struct Request {
   ModelId model = 0;
   double spectral_efficiency = 0.0;  ///< bits/s/Hz on the chosen downlink
   Route route = Route::kBestCovering;
-  std::uint64_t seq = 0;  ///< global issue order; sort tie-break
 };
 
 /// A stage-1 routing decision: the serving server (kInvalidId = none), the
@@ -133,9 +138,10 @@ class ServerLoop {
         warm_models_(warm_models),
         warm_bytes_(policy.used_bytes()),
         bucket_(std::move(bucket)) {
-    std::sort(bucket_.begin(), bucket_.end(), [](const Request& a, const Request& b) {
-      return a.time != b.time ? a.time < b.time : a.seq < b.seq;
-    });
+    // The bucket arrives in issue order, so a stable sort on time breaks
+    // timestamp ties by issue order.
+    std::stable_sort(bucket_.begin(), bucket_.end(),
+                     [](const Request& a, const Request& b) { return a.time < b.time; });
     if (config.queue_depth_samples > 0) {
       metrics_.queue_depth.reserve(config.queue_depth_samples);
     }
@@ -597,13 +603,15 @@ ServeResult simulate_serving(const wireless::NetworkTopology& topology,
     }
   }
 
-  // Stage 1: serial trace generation into per-server buckets.
-  ServeMetrics generation;
+  // Stage 1: block-parallel trace generation. Users are split into
+  // contiguous blocks; each block fills its own per-server pieces and its own
+  // generation counters. Every user draws only from its own stream, so a
+  // block's output does not depend on which worker runs it, and reading the
+  // pieces back in block order reproduces a user-by-user pass exactly.
   const std::size_t windows = config.hit_series_windows;
-  if (windows > 0) generation.window_requests.assign(windows, 0);
-  std::vector<std::vector<Request>> buckets(num_servers);
-  std::uint64_t seq = 0;
-  for (UserId k = 0; k < num_users; ++k) {
+  // One user's arrivals, routed into `pieces` and counted in `generation`.
+  const auto generate_user = [&](UserId k, std::vector<std::vector<Request>>& pieces,
+                                 ServeMetrics& generation) {
     support::Rng rng = seed.at(kUserStream, k);
     const std::size_t begin = offsets[k];
     const std::size_t end = offsets[k + 1];
@@ -615,7 +623,6 @@ ServeResult simulate_serving(const wireless::NetworkTopology& topology,
                               ? 1.0
                               : wireless::sample_rayleigh_power_gain(rng);
       ++generation.requests;
-      ++seq;
       if (windows > 0) {
         const auto w = static_cast<std::size_t>(t / config.duration_s *
                                                 static_cast<double>(windows));
@@ -626,7 +633,6 @@ ServeResult simulate_serving(const wireless::NetworkTopology& topology,
       request.time = t;
       request.user = k;
       request.model = i;
-      request.seq = seq;
       // The routing rule, one scan shared by every path: the covering warm
       // holder of i with the best spectral efficiency (a direct hit), else
       // the best covering server outright — for a reactive cache always (the
@@ -689,22 +695,47 @@ ServeResult simulate_serving(const wireless::NetworkTopology& topology,
         continue;
       }
       request.spectral_efficiency = pick.se;
-      buckets[pick.server].push_back(request);
+      pieces[pick.server].push_back(request);
     }
-  }
+  };
+  const std::size_t threads = support::resolve_threads(config.threads);
+  const std::size_t num_blocks = std::min(num_users, 16 * threads);
+  std::vector<std::vector<std::vector<Request>>> block_pieces(
+      num_blocks, std::vector<std::vector<Request>>(num_servers));
+  std::vector<ServeMetrics> block_generation(num_blocks);
+  support::parallel_for(num_blocks, threads, [&](std::size_t b) {
+    ServeMetrics& generation = block_generation[b];
+    if (windows > 0) generation.window_requests.assign(windows, 0);
+    const std::size_t last = (b + 1) * num_users / num_blocks;
+    for (std::size_t k = b * num_users / num_blocks; k < last; ++k) {
+      generate_user(static_cast<UserId>(k), block_pieces[b], generation);
+    }
+  });
+  // The block counters are integers, so folding them is exact.
+  ServeMetrics generation;
+  if (windows > 0) generation.window_requests.assign(windows, 0);
+  for (const ServeMetrics& block : block_generation) generation.merge(block);
 
   // Stage 2: independent per-server replays, one metrics slot each, folded
-  // in server order (bit-identical at any thread count).
+  // in server order (bit-identical at any thread count). Each worker first
+  // assembles its server's bucket from the block pieces in block order
+  // (the serial issue order), freeing every piece once copied.
   std::vector<ServeMetrics> slots(num_servers);
-  support::parallel_for(
-      num_servers, support::resolve_threads(config.threads), [&](std::size_t m) {
-        ServerLoop loop(topology, library, requests, config, *policies[m],
-                        relayable, std::move(buckets[m]),
-                        static_cast<ServerId>(m), faults,
-                        faults != nullptr ? &warm_holders : nullptr,
-                        &placement.models_on(static_cast<ServerId>(m)));
-        slots[m] = loop.run();
-      });
+  support::parallel_for(num_servers, threads, [&](std::size_t m) {
+    std::size_t size = 0;
+    for (const auto& pieces : block_pieces) size += pieces[m].size();
+    std::vector<Request> bucket;
+    bucket.reserve(size);
+    for (auto& pieces : block_pieces) {
+      bucket.insert(bucket.end(), pieces[m].begin(), pieces[m].end());
+      std::vector<Request>().swap(pieces[m]);
+    }
+    ServerLoop loop(topology, library, requests, config, *policies[m], relayable,
+                    std::move(bucket), static_cast<ServerId>(m), faults,
+                    faults != nullptr ? &warm_holders : nullptr,
+                    &placement.models_on(static_cast<ServerId>(m)));
+    slots[m] = loop.run();
+  });
 
   ServeResult result;
   result.totals = std::move(generation);

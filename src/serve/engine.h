@@ -4,25 +4,32 @@
 //
 // A run has two stages:
 //
-//  1. Trace generation (serial). Each user k owns the counter-derived stream
-//     seed.at(kUserStream, k) and emits a Poisson arrival process; per
-//     arrival the stream also draws the requested model (stationary
-//     RequestModel probabilities, or a workload::DriftingZipf when
-//     configured) and, with average_channel = false, one Rayleigh gain. The
-//     serving edge server is resolved at generation time against the *warm*
-//     (initial) cache state only — best covering warm holder, else best
-//     covering server outright — so every request lands in exactly one
+//  1. Trace generation (block-parallel). Each user k owns the
+//     counter-derived stream seed.at(kUserStream, k) and emits a Poisson
+//     arrival process; per arrival the stream also draws the requested model
+//     (stationary RequestModel probabilities, or a workload::DriftingZipf
+//     when configured) and, with average_channel = false, one Rayleigh gain.
+//     The serving edge server is resolved at generation time against the
+//     *warm* (initial) cache state only — best covering warm holder, else
+//     best covering server outright — so every request lands in exactly one
 //     per-server bucket and the shards stay independent. Reactive routes are
 //     re-resolved against live cache state inside the shard: admitted models
 //     hit, evicted ones fetch again, and models a remote warm holder could
 //     relay are pulled over the backhaul and admitted (cache-on-relay).
+//     Users are split into min(K, 16·threads) contiguous blocks generated
+//     in parallel; each block fills its own per-server pieces and its own
+//     integer counters. A server's bucket is its pieces concatenated in
+//     block order, which is exactly the order a serial user-by-user loop
+//     would have pushed, so the results do not depend on the block count.
 //
 //  2. Sharded replay (parallel). Servers are independent queueing systems:
 //     bandwidth B is processor-shared among a server's own active flows,
 //     relay and cloud delays are per-request constants, and cache state is
 //     per-server. parallel_for distributes the M per-server event loops
-//     across config.threads workers; each loop fills its own ServeMetrics
-//     slot and the slots are folded in ascending server order. Because the
+//     across config.threads workers; each worker assembles its server's
+//     bucket from the block pieces, sorts it stably by time (timestamp ties
+//     keep issue order) and fills its own ServeMetrics slot, and the slots
+//     are folded in ascending server order. Because the
 //     shard boundary is the *server* (fixed M) and not the worker, results
 //     are bit-identical for any thread count.
 //
@@ -84,8 +91,9 @@ struct ServeConfig {
   /// inference_s); an arrival finding every slot busy is rejected to the
   /// cloud — counted compute_rejects, terminal state cloud_served.
   std::size_t compute_slots = 0;
-  /// Worker threads for the per-server replay (0 = hardware concurrency).
-  /// Results are bit-identical for every value.
+  /// Worker threads for both stages, trace generation and the per-server
+  /// replay (0 = hardware concurrency). Results are bit-identical for every
+  /// value.
   std::size_t threads = 1;
   /// Points of the queue-depth time series (0 = do not sample).
   std::size_t queue_depth_samples = 0;

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <numeric>
 
@@ -12,6 +13,7 @@
 #include "src/serve/cache_policy.h"
 #include "src/serve/engine.h"
 #include "src/serve/metrics.h"
+#include "src/sim/fault_model.h"
 #include "src/sim/scenario.h"
 #include "src/workload/drifting_zipf.h"
 #include "tests/test_util.h"
@@ -289,6 +291,91 @@ TEST(DriftingZipf, OrdersStayPermutationsAndExponentRamps) {
 }
 
 // -------------------------------------------------------- thread bit-identity
+//
+// Each replay runs at threads 1, 2, 3, 4 and 8, and every result must equal
+// the threads=1 one field for field. Comparing the engine with itself is not
+// enough, since trace generation is block-parallel over users with a block
+// count that follows the thread count: the literals were captured from the
+// serial user-by-user generation loop, so matching them shows the
+// block-ordered buckets reproduce its push order exactly.
+
+/// The pinned slice of a ServeResult: every counter, both window series and
+/// the latency doubles, compared exactly.
+struct Pinned {
+  std::vector<std::uint64_t> counters;  // in pinned_counters() order
+  std::vector<std::uint32_t> window_requests;
+  std::vector<std::uint32_t> window_hits;
+  double p50 = 0.0;
+  double p95 = 0.0;
+  double p99 = 0.0;
+  double download_sum_s = 0.0;
+};
+
+[[nodiscard]] std::vector<std::uint64_t> pinned_counters(const serve::ServeMetrics& t) {
+  return {t.requests,       t.deadline_hits,  t.late,          t.unserved,
+          t.compute_rejects, t.cloud_served,  t.edge_hits,     t.relays,
+          t.cloud_fetches,  t.merged_fetches, t.cloud_bytes,   t.cache_evictions,
+          t.stale_events,   t.failovers,      t.failed_over,   t.aborted,
+          t.outages,        t.recoveries,     t.rewarms};
+}
+
+void expect_pinned(const serve::ServeResult& r, const Pinned& pin) {
+  EXPECT_EQ(pinned_counters(r.totals), pin.counters);
+  EXPECT_EQ(r.totals.window_requests, pin.window_requests);
+  EXPECT_EQ(r.totals.window_hits, pin.window_hits);
+  EXPECT_EQ(r.p50_download_s, pin.p50);
+  EXPECT_EQ(r.p95_download_s, pin.p95);
+  EXPECT_EQ(r.p99_download_s, pin.p99);
+  EXPECT_EQ(r.totals.download_sum_s, pin.download_sum_s);
+}
+
+/// Runs `config` at every swept thread count; each result must equal the
+/// threads=1 one field for field and match the pinned literals.
+template <typename Run>
+void expect_pinned_at_every_thread_count(serve::ServeConfig config, const Run& run,
+                                         const Pinned& pin) {
+  config.threads = 1;
+  const serve::ServeResult serial = run(config);
+  expect_pinned(serial, pin);
+  for (const std::size_t threads : {2, 3, 4, 8}) {
+    config.threads = threads;
+    EXPECT_TRUE(run(config) == serial) << "threads=" << threads;
+  }
+}
+
+TEST_F(ServeSystemTest, StaticOutageStormMatchesPinnedReplay) {
+  // Per-request fading, failover routing, compute rejects and the window
+  // series all depend on generation's draws and push order.
+  sim::FaultScheduleConfig storm;
+  storm.duration_s = 300.0;
+  storm.fault_fraction = 0.6;
+  storm.mtbf_s = 60.0;
+  storm.mttr_s = 25.0;
+  storm.degraded_snr_factor = 0.4;
+  storm.degrade_mtbf_s = 80.0;
+  storm.degrade_mttr_s = 30.0;
+  storm.brownout_factor = 0.5;
+  storm.brownout_mtbf_s = 100.0;
+  storm.brownout_mttr_s = 40.0;
+  const sim::FaultSchedule schedule(scenario_->topology.num_servers(), storm, Rng(5));
+  serve::ServeConfig config;
+  config.arrival_rate_per_user = 0.5;
+  config.duration_s = 300.0;
+  config.average_channel = false;
+  config.compute_slots = 2;
+  config.hit_series_windows = 6;
+  config.faults = &schedule;
+  const Pinned pin{
+      {4590, 1523, 4, 2758, 298, 298, 928, 606, 0, 0, 0, 0, 288, 115, 0, 7, 16, 16, 0},
+      {787, 755, 758, 767, 797, 726},
+      {227, 167, 223, 368, 335, 203},
+      0.15963385442879449,
+      0.32781211513934627,
+      0.40679443210830557,
+      270.19271977107894};
+  expect_pinned_at_every_thread_count(
+      config, [&](const serve::ServeConfig& c) { return run(*placement_, c, 31); }, pin);
+}
 
 TEST_F(ServeSystemTest, MetricsBitIdenticalAcrossThreadCounts) {
   const workload::DriftingZipf drift(
@@ -300,17 +387,73 @@ TEST_F(ServeSystemTest, MetricsBitIdenticalAcrossThreadCounts) {
   config.duration_s = 300.0;
   config.average_channel = false;  // per-request fading also in the streams
   config.queue_depth_samples = 64;
+  config.hit_series_windows = 5;
   config.drift = &drift;
   config.compute_slots = 2;  // admission decisions also in the replay
+  const Pinned pin{
+      {2697, 1649, 4, 895, 149, 149, 1177, 476, 0, 0, 0, 514, 289, 0, 0, 0, 0, 0, 0},
+      {523, 544, 565, 525, 540},
+      {324, 346, 332, 319, 328},
+      0.12863969449369764,
+      0.26416483203860958,
+      0.3522694651473105,
+      255.77441824674383};
+  expect_pinned_at_every_thread_count(
+      config, [&](const serve::ServeConfig& c) { return run(*placement_, c, 29); }, pin);
+}
 
-  config.threads = 1;
-  const auto serial = run(*placement_, config, 29);
-  config.threads = 8;
-  const auto threaded = run(*placement_, config, 29);
+TEST(ServeGeneration, FewerUsersThanBlocksMatchesPinnedReplay) {
+  // K = 3 users is fewer than the 16 blocks per thread generation would
+  // use, so the block count falls to K: one user per block.
+  sim::ScenarioConfig config;
+  config.num_servers = 3;
+  config.num_users = 3;
+  config.area_side_m = 300.0;
+  config.library_size = 10;
+  config.special.models_per_family = 4;
+  Rng rng(13);
+  const auto scenario = sim::build_scenario(config, rng);
+  const auto placement = core::trimcaching_gen(scenario.problem()).placement;
+  serve::ServeConfig serving;
+  serving.policy = "lru";
+  serving.arrival_rate_per_user = 2.0;
+  serving.duration_s = 200.0;
+  serving.average_channel = false;
+  serving.hit_series_windows = 4;
+  const Pinned pin{{1191, 1142, 49, 0, 0, 0, 1191, 0, 0, 0, 0, 0, 711, 0, 0, 0, 0, 0, 0},
+                   {294, 308, 311, 278},
+                   {287, 289, 299, 267},
+                   0.18434229924091139,
+                   0.58294153471360877,
+                   0.77736503023877679,
+                   280.50809899147453};
+  expect_pinned_at_every_thread_count(
+      serving,
+      [&](const serve::ServeConfig& c) {
+        return serve::simulate_serving(scenario.topology, scenario.library,
+                                       scenario.requests, placement, c, Rng(41));
+      },
+      pin);
+}
 
-  EXPECT_EQ(serial.totals.requests, threaded.totals.requests);
-  EXPECT_EQ(serial.hit_ratio, threaded.hit_ratio);
-  EXPECT_TRUE(serial == threaded) << "threads=8 replay differs from threads=1";
+// ------------------------------------------------------------ config knobs
+
+TEST(ServeConfigValidate, RejectsNonFiniteAndNonPositiveKnobs) {
+  // An infinite rate or duration would never end generation's arrival loop,
+  // and a NaN rate would silently issue nothing; validate() is the only
+  // thing called here, so no replay ever runs with these values.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (double serve::ServeConfig::*knob :
+       {&serve::ServeConfig::arrival_rate_per_user, &serve::ServeConfig::duration_s,
+        &serve::ServeConfig::cloud_rate_bps}) {
+    for (const double bad : {inf, -inf, nan, 0.0, -1.0}) {
+      serve::ServeConfig config;
+      config.*knob = bad;
+      EXPECT_THROW(config.validate(), std::invalid_argument) << bad;
+    }
+  }
+  EXPECT_NO_THROW(serve::ServeConfig{}.validate());
 }
 
 // ----------------------------------------------------------- policy factory
