@@ -26,7 +26,9 @@
 //     and threads=1 and every metric must match exactly (the engine shards
 //     by server, not by worker).
 // The hit_ratio metric is a deterministic replay (counter-based RNG), so CI
-// gates it machine-independently (bench/gates.txt).
+// gates it machine-independently (bench/gates.txt), as it does the top-load
+// records' reactive_over_static: each replay's wall time over the static
+// replay's in the same run, the cost of the cache-policy bookkeeping.
 //
 //   ./fig9_serving              # full sweep, threads = hardware
 //   ./fig9_serving threads=4
@@ -148,6 +150,7 @@ int main(int argc, char** argv) {
       const auto offered =
           static_cast<std::size_t>(rate * static_cast<double>(config.num_users));
       double static_hit = 0.0;
+      double static_wall = 0.0;
       for (const std::string& policy : policies) {
         serve::ServeConfig serving;
         serving.arrival_rate_per_user = rate;
@@ -164,7 +167,10 @@ int main(int argc, char** argv) {
         const double wall = seconds_since(start);
 
         const std::string base = policy.substr(0, policy.find(':'));
-        if (base == "static") static_hit = result.hit_ratio;
+        if (base == "static") {
+          static_hit = result.hit_ratio;
+          static_wall = wall;
+        }
         if ((base == "lru" || base == "ewma") && result.hit_ratio <= static_hit) {
           std::cerr << "FAIL: " << base << " hit ratio " << result.hit_ratio
                     << " does not beat static " << static_hit << " at " << offered
@@ -184,8 +190,13 @@ int main(int argc, char** argv) {
 
         std::ostringstream name;
         name << "fig9_serving_" << offered << "rps_" << base;
-        const bench::JsonRecord& record =
+        bench::JsonRecord& record =
             records.emplace_back(serving_record(name.str(), wall, threads, result));
+        // What cache-policy bookkeeping costs: the replay's wall time over
+        // the static replay's (no bookkeeping) at the same load, a
+        // within-run ratio CI gates on any runner. Only at the top load: the
+        // lower points replay too few requests for a stable ratio.
+        if (rate == rates.back()) record.metrics["reactive_over_static"] = wall / static_wall;
 
         std::cout << "[fig9_serving] " << record.name << ": "
                   << result.totals.requests << " requests in " << wall << " s ("

@@ -19,10 +19,10 @@ void CachePolicy::bind(const model::ModelLibrary& library, support::Bytes capaci
   }
   library_ = &library;
   capacity_ = capacity;
-  cached_.assign(library.num_blocks(), 0);
   pinned_.assign(library.num_blocks(), 0);
   // Never-requested blocks start at the bottom of every score order.
   score_.assign(library.num_blocks(), kNeverTouched);
+  pos_.assign(library.num_blocks(), kInvalidId);
 }
 
 void CachePolicy::warm(const std::vector<ModelId>& models) {
@@ -36,7 +36,7 @@ support::Bytes CachePolicy::missing_bytes(ModelId i) const {
   if (library_ == nullptr) throw std::logic_error("CachePolicy: use before bind");
   support::Bytes missing = 0;
   for (const BlockId j : library_->model(i).blocks) {
-    if (!cached_[j]) missing += library_->block(j).size_bytes;
+    if (!cached(j)) missing += library_->block(j).size_bytes;
   }
   return missing;
 }
@@ -44,14 +44,19 @@ support::Bytes CachePolicy::missing_bytes(ModelId i) const {
 void CachePolicy::on_request(ModelId i, double now) {
   // Score every block of the requested model, cached or not: an uncached
   // block keeps accumulating popularity, so when it is finally admitted it
-  // does not start as the coldest entry.
+  // does not start as the coldest entry. next_score is pure, so a block
+  // whose previous score equals its predecessor's reuses that update (NaN
+  // equals no score, so the first block always computes one).
+  ++touches_;
+  double previous = std::numeric_limits<double>::quiet_NaN();
+  double updated = 0.0;
   for (const BlockId j : library_->model(i).blocks) {
-    const double updated = next_score(j, now, score_[j]);
-    if (cached_[j]) {
-      order_.erase({score_[j], j});
-      order_.insert({updated, j});
+    if (score_[j] != previous) {
+      previous = score_[j];
+      updated = next_score(now, previous);
     }
     score_[j] = updated;
+    if (cached(j)) sift_down(pos_[j]);
   }
 }
 
@@ -69,32 +74,75 @@ void CachePolicy::admit(ModelId i, double now) {
 
 void CachePolicy::restart() {
   if (library_ == nullptr) throw std::logic_error("CachePolicy: restart before bind");
-  cached_.assign(library_->num_blocks(), 0);
+  for (const BlockId j : heap_) pos_[j] = kInvalidId;
+  heap_.clear();
   score_.assign(library_->num_blocks(), kNeverTouched);
-  order_.clear();
   used_ = 0;
 }
 
 void CachePolicy::insert_block(BlockId j) {
-  if (cached_[j]) return;
-  cached_[j] = 1;
+  if (cached(j)) return;
   used_ += library_->block(j).size_bytes;
-  order_.insert({score_[j], j});
+  push(j);
 }
 
 void CachePolicy::evict_until_fits() {
-  auto victim = order_.begin();
-  while (used_ > capacity_ && victim != order_.end()) {
-    if (pinned_[victim->second]) {
-      ++victim;  // the admitted model's own blocks are never evicted
+  while (used_ > capacity_ && !heap_.empty()) {
+    const BlockId j = pop_min();
+    if (pinned_[j]) {
+      stash_.push_back(j);  // the admitted model's own blocks are never evicted
       continue;
     }
-    const BlockId j = victim->second;
-    victim = order_.erase(victim);
-    cached_[j] = 0;
     used_ -= library_->block(j).size_bytes;
     ++evictions_;
   }
+  for (const BlockId j : stash_) push(j);
+  stash_.clear();
+}
+
+void CachePolicy::push(BlockId j) {
+  pos_[j] = static_cast<std::uint32_t>(heap_.size());
+  heap_.push_back(j);
+  sift_up(heap_.size() - 1);
+}
+
+BlockId CachePolicy::pop_min() {
+  const BlockId top = heap_.front();
+  pos_[top] = kInvalidId;
+  const BlockId last = heap_.back();
+  heap_.pop_back();
+  if (!heap_.empty()) {
+    heap_[0] = last;
+    sift_down(0);
+  }
+  return top;
+}
+
+void CachePolicy::sift_up(std::size_t slot) {
+  const BlockId j = heap_[slot];
+  while (slot > 0) {
+    const std::size_t parent = (slot - 1) / 2;
+    if (!before(j, heap_[parent])) break;
+    heap_[slot] = heap_[parent];
+    pos_[heap_[slot]] = static_cast<std::uint32_t>(slot);
+    slot = parent;
+  }
+  heap_[slot] = j;
+  pos_[j] = static_cast<std::uint32_t>(slot);
+}
+
+void CachePolicy::sift_down(std::size_t slot) {
+  const BlockId j = heap_[slot];
+  const std::size_t size = heap_.size();
+  for (std::size_t child = 2 * slot + 1; child < size; child = 2 * slot + 1) {
+    if (child + 1 < size && before(heap_[child + 1], heap_[child])) ++child;
+    if (!before(heap_[child], j)) break;
+    heap_[slot] = heap_[child];
+    pos_[heap_[slot]] = static_cast<std::uint32_t>(slot);
+    slot = child;
+  }
+  heap_[slot] = j;
+  pos_[j] = static_cast<std::uint32_t>(slot);
 }
 
 namespace {
@@ -108,22 +156,21 @@ class StaticCache final : public CachePolicy {
   void admit(ModelId, double) override {}
 
  protected:
-  [[nodiscard]] double next_score(BlockId, double, double) override { return 0.0; }
+  [[nodiscard]] double next_score(double, double) const override { return 0.0; }
 };
 
-/// Block-level least-recently-used. The clock is a touch counter rather than
-/// simulated time so simultaneous events still order deterministically.
+/// Block-level least-recently-used. The clock is the request (touch) index
+/// rather than simulated time so simultaneous events still order
+/// deterministically; the blocks of one request tie on it and fall back to
+/// id order, which is the order a model lists them in (ascending).
 class LruCache final : public CachePolicy {
  public:
   [[nodiscard]] std::string name() const override { return "lru"; }
 
  protected:
-  [[nodiscard]] double next_score(BlockId, double, double) override {
-    return static_cast<double>(++clock_);
+  [[nodiscard]] double next_score(double, double) const override {
+    return static_cast<double>(touches());
   }
-
- private:
-  std::uint64_t clock_ = 0;
 };
 
 /// Exponentially-weighted request rate per block (neu-spiral EWMACache).
@@ -140,7 +187,7 @@ class EwmaCache final : public CachePolicy {
   [[nodiscard]] std::string name() const override { return "ewma"; }
 
  protected:
-  [[nodiscard]] double next_score(BlockId, double now, double previous) override {
+  [[nodiscard]] double next_score(double now, double previous) const override {
     const double value = now / tau_s_;
     if (previous == kNeverTouched) return value;
     // log-sum-exp of the previous mass and the new request.
@@ -160,7 +207,7 @@ class PriorityCache final : public CachePolicy {
   [[nodiscard]] std::string name() const override { return "priority"; }
 
  protected:
-  [[nodiscard]] double next_score(BlockId, double, double previous) override {
+  [[nodiscard]] double next_score(double, double previous) const override {
     return previous == kNeverTouched ? 1.0 : previous + 1.0;
   }
 };

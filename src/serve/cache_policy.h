@@ -22,17 +22,24 @@
 //   * priority  — frequency cache: blocks are scored by cumulative request
 //     count (LFU); eviction removes the least-requested block.
 //
-// All scored policies share one mechanism: a score per block plus an ordered
-// (score, block) set over the *cached* blocks, giving O(log n) touch and
-// O(evicted) eviction instead of the O(J) full scans of the retired
-// sim::event_sim LRU. Scores are plain doubles updated deterministically, so
-// a policy's behavior is bit-reproducible across runs and thread counts.
+// All scored policies share one mechanism: a score per block plus an
+// indexed binary min-heap over the *cached* blocks, keyed by (score, id) with
+// a heap slot per block. Scores never decrease (the LRU touch index, the EWMA
+// log-sum-exp and the request count all only rise), so a touch updates its
+// key in place and sifts down, an admission pushes and sifts up, and an
+// eviction pops in (score, id) order. The admitted model's own blocks are
+// popped into a reused stash rather than evicted and are pushed back once
+// the cache fits, so the victims are exactly the (score, id)-ordered walk
+// over the unpinned blocks. next_score is a pure function of (now,
+// previous score), so on_request computes it once per run of consecutive
+// blocks sharing a previous score (a model's private blocks always do).
+// Scores are plain doubles updated deterministically, so a policy's behavior
+// is bit-reproducible across runs and thread counts.
 #pragma once
 
+#include <cstdint>
 #include <memory>
-#include <set>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "src/model/model_library.h"
@@ -87,28 +94,47 @@ class CachePolicy {
   virtual void restart();
 
  protected:
-  /// New score for block j requested at `now`; higher survives longer.
-  /// `previous` is the block's current score (-inf if never touched). Must
-  /// not depend on call order beyond (previous, now).
-  [[nodiscard]] virtual double next_score(BlockId j, double now, double previous) = 0;
+  /// New score of a block requested at `now` whose current score is
+  /// `previous` (-inf if never touched); higher survives longer. Must depend
+  /// on nothing but (now, previous) and touches(), and must not be below
+  /// `previous`: blocks sharing a previous score share one call, and a
+  /// touched block only ever sifts down the heap.
+  [[nodiscard]] virtual double next_score(double now, double previous) const = 0;
+
+  /// on_request calls since bind(), counting the current one.
+  [[nodiscard]] std::uint64_t touches() const noexcept { return touches_; }
 
   [[nodiscard]] const model::ModelLibrary& library() const { return *library_; }
 
  private:
+  [[nodiscard]] bool cached(BlockId j) const noexcept { return pos_[j] != kInvalidId; }
+  /// Heap order: (score, id) ascending.
+  [[nodiscard]] bool before(BlockId a, BlockId b) const noexcept {
+    return score_[a] < score_[b] || (score_[a] == score_[b] && a < b);
+  }
   void insert_block(BlockId j);
   void evict_until_fits();
+  void push(BlockId j);
+  void sift_up(std::size_t slot);
+  void sift_down(std::size_t slot);
+  /// Removes and returns the heap minimum (the eviction candidate).
+  BlockId pop_min();
 
   const model::ModelLibrary* library_ = nullptr;
   support::Bytes capacity_ = 0;
   support::Bytes used_ = 0;
   std::size_t evictions_ = 0;
-  std::vector<char> cached_;
+  std::uint64_t touches_ = 0;
   /// The blocks of the model being admitted (never evicted by that admit);
   /// all zero between admit() calls, so admit clears only what it set.
   std::vector<char> pinned_;
   std::vector<double> score_;
-  /// Cached blocks ordered by (score, id); begin() is the eviction victim.
-  std::set<std::pair<double, BlockId>> order_;
+  /// Cached blocks as a binary min-heap in before() order; heap_[0] is the
+  /// eviction candidate. pos_[j] is j's index in heap_, or kInvalidId.
+  std::vector<BlockId> heap_;
+  std::vector<std::uint32_t> pos_;
+  /// Pinned blocks popped during one eviction pass, pushed back after it.
+  std::vector<BlockId> stash_;
 };
 
 /// Builds a policy from a "name" or "name:key=value,..." spec:

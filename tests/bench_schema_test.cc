@@ -247,6 +247,13 @@ TEST(BenchJsonSchema, CommittedServingBaselineMatchesTheLock) {
     EXPECT_GT(hit("fig9_serving_" + load + "_lru"), fixed) << load;
     EXPECT_GT(hit("fig9_serving_" + load + "_ewma"), fixed) << load;
   }
+  // The reactive-bookkeeping gate's ratios: the static replay is its own
+  // denominator, and every reactive replay does more work than it.
+  EXPECT_EQ(metric(records.at("fig9_serving_25rps_static"), "reactive_over_static"), 1.0);
+  for (const std::string policy : {"lru", "ewma", "priority"}) {
+    EXPECT_GT(metric(records.at("fig9_serving_25rps_" + policy), "reactive_over_static"), 1.0)
+        << policy;
+  }
   // The outage-storm leg: both fault records carry the failure metrics
   // (failover routing engaged, a worst degradation window was recorded) and
   // the reactive policy measured a re-warm transient. Fault-free records

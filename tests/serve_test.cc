@@ -286,7 +286,9 @@ TEST(DriftingZipf, OrdersStayPermutationsAndExponentRamps) {
       ASSERT_FALSE(seen[i]);
       seen[i] = 1;
     }
-    if (e > 0) EXPECT_GT(drift.exponent_at(e), drift.exponent_at(e - 1));
+    if (e > 0) {
+      EXPECT_GT(drift.exponent_at(e), drift.exponent_at(e - 1));
+    }
   }
 }
 
@@ -297,7 +299,9 @@ TEST(DriftingZipf, OrdersStayPermutationsAndExponentRamps) {
 // enough, since trace generation is block-parallel over users with a block
 // count that follows the thread count: the literals were captured from the
 // serial user-by-user generation loop, so matching them shows the
-// block-ordered buckets reproduce its push order exactly.
+// block-ordered buckets reproduce its push order exactly. The lru and
+// priority replays that evict were captured from the ordered-set block cache
+// the indexed heap replaced, so they pin its victim order as well.
 
 /// The pinned slice of a ServeResult: every counter, both window series and
 /// the latency doubles, compared exactly.
@@ -434,6 +438,63 @@ TEST(ServeGeneration, FewerUsersThanBlocksMatchesPinnedReplay) {
                                        scenario.requests, placement, c, Rng(41));
       },
       pin);
+}
+
+TEST_F(ServeSystemTest, LruEvictionReplayMatchesPinnedReplay) {
+  // Drift pushes models the warm placement never cached into the head, so
+  // the block-LRU admits and evicts throughout: the victim order is pinned
+  // through cache_evictions, edge hits and cloud fetches.
+  const workload::DriftingZipf drift(
+      workload::DriftingZipf::popularity_order(scenario_->requests), 300.0,
+      workload::DriftingZipfConfig{0.8, 1.2, 40.0, 6}, Rng(19));
+  serve::ServeConfig config;
+  config.policy = "lru";
+  config.arrival_rate_per_user = 0.4;
+  config.duration_s = 300.0;
+  config.hit_series_windows = 5;
+  config.drift = &drift;
+  const Pinned pin{
+      {3631, 2441, 5, 1185, 0, 0, 1757, 689, 0, 0, 0, 864, 703, 0, 0, 0, 0, 0, 0},
+      {731, 719, 695, 738, 748},
+      {480, 495, 476, 486, 504},
+      0.13823722273579014,
+      0.3522694651473105,
+      0.46975888167064989,
+      390.05003786034422};
+  expect_pinned_at_every_thread_count(
+      config, [&](const serve::ServeConfig& c) { return run(*placement_, c, 37); }, pin);
+}
+
+TEST_F(ServeSystemTest, PriorityReplayUnderOutagesMatchesPinnedReplay) {
+  // The frequency cache under drift and an outage storm: eviction keeps
+  // rarely requested models out, and every recovery restarts the cache
+  // cold, so the restart path is pinned as well.
+  const workload::DriftingZipf drift(
+      workload::DriftingZipf::popularity_order(scenario_->requests), 300.0,
+      workload::DriftingZipfConfig{0.8, 1.2, 40.0, 6}, Rng(23));
+  sim::FaultScheduleConfig storm;
+  storm.duration_s = 300.0;
+  storm.fault_fraction = 0.6;
+  storm.mtbf_s = 70.0;
+  storm.mttr_s = 20.0;
+  const sim::FaultSchedule schedule(scenario_->topology.num_servers(), storm, Rng(9));
+  serve::ServeConfig config;
+  config.policy = "priority";
+  config.arrival_rate_per_user = 0.4;
+  config.duration_s = 300.0;
+  config.hit_series_windows = 5;
+  config.drift = &drift;
+  config.faults = &schedule;
+  const Pinned pin{
+      {3624, 2283, 58, 1283, 0, 0, 1522, 751, 60, 8, 2229844400, 781, 718, 54, 0, 0, 11, 11, 7},
+      {747, 688, 726, 740, 723},
+      {491, 414, 481, 427, 470},
+      0.13823722273579014,
+      0.43714448126110972,
+      1.596338544287945,
+      446.72207789582063};
+  expect_pinned_at_every_thread_count(
+      config, [&](const serve::ServeConfig& c) { return run(*placement_, c, 43); }, pin);
 }
 
 // ------------------------------------------------------------ config knobs
