@@ -2,21 +2,21 @@
 // at t = 0 (M = 10, K = 10, Q = 1 GB; pedestrian/bike/vehicle mix; 5 s
 // slots). The paper reports only ~6.43% (Spec) / ~5.42% (Gen) degradation.
 //
-// Plan-maintenance instrumentation: every run drives the incremental
-// evaluation engine (NetworkTopology::apply_user_moves ->
-// EvalPlan::apply_delta), and one extra leg re-runs the first seed with the
-// legacy monolithic path (update_user_positions -> full rebuild). The two
-// traces must be bit-identical — a mismatch fails the bench — and the
-// per-slot maintenance wall-clock of both paths lands in BENCH_runtime.json
-// (merged next to fig6b's records; bench/bench_json.h schema) as
-// fig7_<scale>_plan_full / fig7_<scale>_plan_delta, with the
-// hardware-independent full/delta ratio in plan_update_speedup for the
-// delta-path CI gate (bench/gates.txt).
+// Plan-maintenance instrumentation: every evaluated slot moves all users
+// through NetworkTopology::update_user_positions, and the Evaluator
+// refreshes its EvalPlan's link arrays while keeping the request rows it
+// built at t = 0. The first run's per-slot maintenance wall-clock lands in
+// BENCH_runtime.json (merged next to fig6b's records; bench/bench_json.h
+// schema) as fig7_<scale>_plan, with the hardware-independent ratio of the
+// t = 0 plan build to the mean per-slot maintenance in plan_build_over_slot
+// for the CI gate (bench/gates.txt): a slot that rebuilt its rows again
+// would pull the ratio towards 1.
 //
 //   ./fig7_mobility                      # paper scale (M=10, K=10)
 //   ./fig7_mobility scale=100x threads=8 # fig8's 100x point (M=100, K=2000,
-//                                        # I=1000), CI delta-path gate
+//                                        # I=1000), CI maintenance gate
 //   ./fig7_mobility fading=200           # Rayleigh scoring per slot
+#include <algorithm>
 #include <iostream>
 #include <map>
 
@@ -84,11 +84,7 @@ int main(int argc, char** argv) {
 
   std::map<double, support::RunningStats> spec_at, gen_at;
   support::Rng master(7);
-  // fork() advances the parent engine, so replaying run 0 for the A/B leg
-  // needs the master's pre-loop state.
-  support::Rng ab_master = master;
-  std::vector<sim::MobilityTracePoint> first_trace;
-  sim::MobilityStudyTelemetry delta_telemetry;
+  sim::MobilityStudyTelemetry first_telemetry;
   for (std::size_t run = 0; run < runs; ++run) {
     support::Rng rng = master.fork(run);
     sim::MobilityStudyTelemetry telemetry;
@@ -97,35 +93,7 @@ int main(int argc, char** argv) {
       spec_at[point.minutes].add(point.spec_hit_ratio);
       gen_at[point.minutes].add(point.gen_hit_ratio);
     }
-    if (run == 0) {
-      first_trace = trace;
-      delta_telemetry = telemetry;
-    }
-  }
-
-  // A/B leg: the first seed again through the legacy monolithic path. Same
-  // scenario, same mobility draws, same channel draws — only the plan
-  // maintenance differs, so the trace must be bit-identical.
-  sim::MobilityStudyConfig monolithic = mobility;
-  monolithic.incremental = false;
-  sim::MobilityStudyTelemetry full_telemetry;
-  {
-    support::Rng rng = ab_master.fork(0);
-    const auto full_trace =
-        sim::run_mobility_study(config, monolithic, rng, &full_telemetry);
-    if (full_trace.size() != first_trace.size()) {
-      std::cerr << "fig7_mobility: delta and monolithic traces diverge\n";
-      return 1;
-    }
-    for (std::size_t p = 0; p < full_trace.size(); ++p) {
-      if (full_trace[p].spec_hit_ratio != first_trace[p].spec_hit_ratio ||
-          full_trace[p].gen_hit_ratio != first_trace[p].gen_hit_ratio) {
-        std::cerr << "fig7_mobility: delta-updated plan is not bit-identical "
-                     "to the full rebuild at minute "
-                  << full_trace[p].minutes << "\n";
-        return 1;
-      }
-    }
+    if (run == 0) first_telemetry = telemetry;
   }
 
   // Column labels follow the configured solvers (spec/gen at paper scale;
@@ -148,28 +116,22 @@ int main(int argc, char** argv) {
                        "(paper Fig. 7; scale=" + scale + ")",
                        table);
 
-  const double full_slot = full_telemetry.per_slot_maintenance_seconds();
-  const double delta_slot = delta_telemetry.per_slot_maintenance_seconds();
-  const double plan_speedup = delta_slot > 0 ? full_slot / delta_slot : 0.0;
-  std::cout << "plan maintenance per slot: full " << full_slot * 1e3 << " ms ("
-            << full_telemetry.plan_builds << " rebuilds), delta "
-            << delta_slot * 1e3 << " ms (" << delta_telemetry.plan_deltas
-            << " deltas, " << delta_telemetry.plan_builds << " rebuilds, "
-            << delta_telemetry.delta_fallbacks << " fallbacks) -> "
-            << plan_speedup << "x\n";
+  const sim::MobilityStudyTelemetry& t = first_telemetry;
+  const double slot = t.per_slot_maintenance_seconds();
+  const double build = t.initial_plan_build_seconds;
+  const double slots = static_cast<double>(std::max<std::size_t>(t.topology_updates, 1));
+  std::cout << "plan maintenance: t = 0 build " << build * 1e3 << " ms, per slot "
+            << slot * 1e3 << " ms = position update "
+            << t.topology_update_seconds / slots * 1e3 << " ms + refresh "
+            << t.plan_refresh_seconds / slots * 1e3 << " ms (" << t.plan_refreshes
+            << " refreshes, " << t.plan_builds << " rebuilds)\n";
 
-  const std::size_t threads = support::resolve_threads(mobility.threads);
-  const auto plan_record = [&](const std::string& path, double slot,
-                               const sim::MobilityStudyTelemetry& telemetry) {
-    return bench::JsonRecord{
-        "fig7_" + scale + "_plan_" + path, slot, threads,
-        {{"plan_rebuilds", static_cast<double>(telemetry.plan_builds)},
-         {"plan_deltas", static_cast<double>(telemetry.plan_deltas)}}};
-  };
-  bench::JsonRecord delta_record = plan_record("delta", delta_slot, delta_telemetry);
-  if (plan_speedup > 0) delta_record.metrics["plan_update_speedup"] = plan_speedup;
-  bench::merge_bench_json("BENCH_runtime.json",
-                          {plan_record("full", full_slot, full_telemetry), delta_record});
+  bench::JsonRecord record{
+      "fig7_" + scale + "_plan", slot, support::resolve_threads(mobility.threads),
+      {{"plan_rebuilds", static_cast<double>(t.plan_builds)},
+       {"plan_refreshes", static_cast<double>(t.plan_refreshes)}}};
+  if (slot > 0) record.metrics["plan_build_over_slot"] = build / slot;
+  bench::merge_bench_json("BENCH_runtime.json", {record});
 
   const double spec0 = spec_at.begin()->second.mean();
   const double spec_end = spec_at.rbegin()->second.mean();

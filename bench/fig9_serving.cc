@@ -28,7 +28,8 @@
 // The hit_ratio metric is a deterministic replay (counter-based RNG), so CI
 // gates it machine-independently (bench/gates.txt), as it does the top-load
 // records' reactive_over_static: each replay's wall time over the static
-// replay's in the same run, the cost of the cache-policy bookkeeping.
+// replay's in the same run (best of three static replays, which must agree
+// exactly), the cost of the cache-policy bookkeeping.
 //
 //   ./fig9_serving              # full sweep, threads = hardware
 //   ./fig9_serving threads=4
@@ -159,15 +160,31 @@ int main(int argc, char** argv) {
         serving.threads = threads;
         serving.drift = &drift;
 
-        const auto start = Clock::now();
-        const auto result =
-            serve::simulate_serving(scenario.topology, scenario.library,
-                                    scenario.requests, placement, serving,
-                                    support::Rng(7));
-        const double wall = seconds_since(start);
+        const auto replay = [&](double& wall) {
+          const auto start = Clock::now();
+          auto result = serve::simulate_serving(scenario.topology, scenario.library,
+                                                scenario.requests, placement, serving,
+                                                support::Rng(7));
+          wall = seconds_since(start);
+          return result;
+        };
+        double wall = 0.0;
+        const auto result = replay(wall);
 
         const std::string base = policy.substr(0, policy.find(':'));
         if (base == "static") {
+          // The top load's static wall is every reactive_over_static's
+          // denominator: time it as the best of three replays, so one slow
+          // run cannot deflate the ratios, and require identical results.
+          for (int rep = 1; rep < 3 && rate == rates.back(); ++rep) {
+            double again_wall = 0.0;
+            if (replay(again_wall) != result) {
+              std::cerr << "FAIL: repeated static replays at " << offered
+                        << " rps differ — the replay is not deterministic\n";
+              failed = true;
+            }
+            wall = std::min(wall, again_wall);
+          }
           static_hit = result.hit_ratio;
           static_wall = wall;
         }

@@ -228,32 +228,6 @@ void BM_RayleighBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_RayleighBatch)->Args({1000, 0})->Args({1000, 1});
 
-// Incremental plan maintenance: apply_user_moves + EvalPlan::apply_delta
-// per iteration (jittered user subset), against BM_EvalPlanBuild's full
-// construction. Arg = number of moved users.
-void BM_EvalPlanDelta(benchmark::State& state) {
-  const auto& scenario = shared_scenario();
-  wireless::NetworkTopology topology = scenario.topology;
-  sim::EvalPlan plan(topology, scenario.library, scenario.requests);
-  const auto moved = std::min<std::size_t>(static_cast<std::size_t>(state.range(0)),
-                                           topology.num_users());
-  double direction = 1.0;
-  for (auto _ : state) {
-    std::vector<wireless::UserMove> moves;
-    moves.reserve(moved);
-    for (UserId k = 0; k < moved; ++k) {
-      auto p = topology.user_position(k);
-      p.x += 5.0 * direction;
-      moves.push_back(wireless::UserMove{k, p});
-    }
-    direction = -direction;
-    const auto& delta = topology.apply_user_moves(moves, 1.0);
-    plan.apply_delta(topology, delta);
-    benchmark::DoNotOptimize(plan.topology_revision());
-  }
-}
-BENCHMARK(BM_EvalPlanDelta)->Arg(2)->Arg(20);
-
 // Fading Monte-Carlo over the EvalPlan arena; second arg = thread count.
 void BM_FadingEvaluation(benchmark::State& state) {
   const auto& scenario = shared_scenario();

@@ -39,7 +39,9 @@ MobilityModel::MobilityModel(wireless::Area area,
 }
 
 void MobilityModel::step(double dt_seconds, support::Rng& rng) {
-  if (dt_seconds <= 0) throw std::invalid_argument("MobilityModel::step: dt must be > 0");
+  if (!std::isfinite(dt_seconds) || dt_seconds <= 0) {
+    throw std::invalid_argument("MobilityModel::step: dt must be finite and > 0");
+  }
   for (UserKinematics& user : users_) {
     const MobilityParams params = params_for(user.cls);
     const double accel = rng.uniform(-params.max_accel_mps2, params.max_accel_mps2);
@@ -70,18 +72,14 @@ std::vector<wireless::Point> MobilityModel::positions() const {
   return out;
 }
 
-std::vector<wireless::UserMove> MobilityModel::moves() const {
-  std::vector<wireless::UserMove> out;
-  out.reserve(users_.size());
-  for (std::size_t k = 0; k < users_.size(); ++k) {
-    out.push_back(wireless::UserMove{static_cast<UserId>(k), users_[k].position});
-  }
-  return out;
-}
-
 std::vector<MobilityClass> assign_classes(std::size_t n, double pedestrian_fraction,
                                           double bike_fraction, double vehicle_fraction,
                                           support::Rng& rng) {
+  for (const double fraction : {pedestrian_fraction, bike_fraction, vehicle_fraction}) {
+    if (!std::isfinite(fraction) || fraction < 0) {
+      throw std::invalid_argument("assign_classes: fractions must be finite and >= 0");
+    }
+  }
   const double total = pedestrian_fraction + bike_fraction + vehicle_fraction;
   if (total <= 0) throw std::invalid_argument("assign_classes: non-positive fractions");
   std::vector<MobilityClass> classes;

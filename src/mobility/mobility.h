@@ -12,7 +12,6 @@
 
 #include "src/support/rng.h"
 #include "src/wireless/geometry.h"
-#include "src/wireless/topology.h"
 
 namespace trimcaching::mobility {
 
@@ -45,16 +44,11 @@ class MobilityModel {
                 std::vector<MobilityClass> classes, support::Rng& rng);
 
   /// Advances one slot of `dt_seconds`: redraw acceleration and angular
-  /// rate, integrate, clamp speed, bounce at the boundary.
+  /// rate, integrate, clamp speed, bounce at the boundary. A dt that is not
+  /// finite and > 0 throws std::invalid_argument.
   void step(double dt_seconds, support::Rng& rng);
 
   [[nodiscard]] std::vector<wireless::Point> positions() const;
-
-  /// The current positions as a per-user move list for
-  /// NetworkTopology::apply_user_moves — the kinematic model moves every
-  /// user every slot, so the list always names all users; the topology's
-  /// delta machinery works out which link spans actually changed.
-  [[nodiscard]] std::vector<wireless::UserMove> moves() const;
 
   [[nodiscard]] const std::vector<UserKinematics>& users() const noexcept {
     return users_;
@@ -66,7 +60,8 @@ class MobilityModel {
 };
 
 /// Assigns mobility classes to `n` users with the given mix (fractions are
-/// normalized; defaults to an even three-way split).
+/// normalized). Each fraction must be finite and >= 0 and their sum > 0, or
+/// std::invalid_argument is thrown.
 [[nodiscard]] std::vector<MobilityClass> assign_classes(std::size_t n,
                                                         double pedestrian_fraction,
                                                         double bike_fraction,

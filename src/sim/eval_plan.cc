@@ -118,19 +118,7 @@ EvalPlan::EvalPlan(const wireless::NetworkTopology& topology,
   num_users_ = topology.num_users();
   num_servers_ = topology.num_servers();
   num_models_ = library.num_models();
-  revision_ = topology.revision();
   total_mass_ = requests.total_mass();
-
-  // Link spans come straight from the topology's flat CSR views.
-  link_offsets_ = topology.covering_offsets();
-  link_server_ = topology.covering_flat();
-  link_bandwidth_hz_ = topology.link_bandwidth_hz();
-  link_mean_snr_ = topology.link_mean_snr();
-  const std::vector<double>& avg_rate = topology.link_avg_rate_bps();
-  avg_inv_rate_.resize(avg_rate.size());
-  for (std::size_t l = 0; l < avg_rate.size(); ++l) {
-    avg_inv_rate_[l] = avg_rate[l] > 0 ? 1.0 / avg_rate[l] : kInf;
-  }
 
   // Request rows, pre-filtered to the pairs that can ever score.
   const double backhaul_bps = topology.radio().backhaul_bps;
@@ -150,51 +138,25 @@ EvalPlan::EvalPlan(const wireless::NetworkTopology& topology,
     }
     row_offsets_[k + 1] = rows_.size();
   }
+  refresh(topology);
 }
 
-void EvalPlan::apply_delta(const wireless::NetworkTopology& topology,
-                           const wireless::TopologyDelta& delta) {
-  if (delta.full || delta.from_revision != revision_ ||
-      delta.to_revision != topology.revision()) {
-    throw std::invalid_argument("EvalPlan::apply_delta: delta does not chain");
-  }
+void EvalPlan::refresh(const wireless::NetworkTopology& topology) {
   if (topology.num_users() != num_users_ || topology.num_servers() != num_servers_) {
-    throw std::invalid_argument("EvalPlan::apply_delta: dimension mismatch");
+    throw std::invalid_argument("EvalPlan::refresh: dimension mismatch");
   }
-
-  // The topology has already patched its flat views; carry them over (cheap
-  // contiguous copies that reuse this plan's capacity) and then patch the
-  // derived inverse rates span-by-span: dirty users recompute, clean users
-  // copy their old values, which are bit-identical by the delta contract.
-  // Request rows do not depend on positions and stay untouched.
-  const std::vector<std::size_t>& new_offsets = topology.covering_offsets();
-  const std::vector<double>& new_rate = topology.link_avg_rate_bps();
-  std::vector<double>& new_inv = inv_scratch_;
-  new_inv.resize(new_rate.size());
-  std::size_t next_dirty = 0;
-  for (UserId k = 0; k < num_users_; ++k) {
-    const bool dirty = next_dirty < delta.dirty_users.size() &&
-                       delta.dirty_users[next_dirty] == k;
-    if (dirty) ++next_dirty;
-    const std::size_t begin = new_offsets[k];
-    const std::size_t end = new_offsets[k + 1];
-    if (dirty) {
-      for (std::size_t l = begin; l < end; ++l) {
-        new_inv[l] = new_rate[l] > 0 ? 1.0 / new_rate[l] : kInf;
-      }
-    } else {
-      const std::size_t old_begin = link_offsets_[k];
-      for (std::size_t l = begin; l < end; ++l) {
-        new_inv[l] = avg_inv_rate_[old_begin + (l - begin)];
-      }
-    }
-  }
-  link_offsets_ = new_offsets;
+  // Link spans come straight from the topology's flat CSR views; the
+  // assignments reuse this plan's capacity across revisions.
+  link_offsets_ = topology.covering_offsets();
   link_server_ = topology.covering_flat();
   link_bandwidth_hz_ = topology.link_bandwidth_hz();
   link_mean_snr_ = topology.link_mean_snr();
-  avg_inv_rate_.swap(inv_scratch_);  // scratch keeps capacity for the next slot
-  revision_ = delta.to_revision;
+  const std::vector<double>& avg_rate = topology.link_avg_rate_bps();
+  avg_inv_rate_.resize(avg_rate.size());
+  for (std::size_t l = 0; l < avg_rate.size(); ++l) {
+    avg_inv_rate_[l] = avg_rate[l] > 0 ? 1.0 / avg_rate[l] : kInf;
+  }
+  revision_ = topology.revision();
   // Link indices shifted with the spans: the cached lowering is stale.
   lowering_cache_revision_ = 0;
 }

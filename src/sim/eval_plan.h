@@ -3,15 +3,18 @@
 // The paper's headline numbers average each placement over >= 10^3 Rayleigh
 // fading realizations (§VII-A), which made the evaluator the scaling
 // bottleneck: the legacy path chased topology objects and allocated a fresh
-// nested gain matrix per realization. An EvalPlan is built once per topology
-// snapshot and lowers everything the hit test needs into CSR-style arrays:
+// nested gain matrix per realization. An EvalPlan lowers everything the hit
+// test needs into CSR-style arrays of two kinds:
 //
-//   * per user, a contiguous *link span* over the covering servers (M_k)
-//     carrying precomputed bandwidth share, mean SNR, and average inverse
-//     rate — a realization's rate is just bw * log2(1 + snr * |h|^2);
 //   * per user, a contiguous span of *request rows* (model, probability and
 //     the row's two hit thresholds), pre-filtered to p > 0 and positive
-//     deadline slack.
+//     deadline slack. Rows depend on the library and the request model only,
+//     never on user positions or server availability, so they are built once
+//     per plan;
+//   * per user, a contiguous *link span* over the covering servers (M_k)
+//     carrying the bandwidth share, mean SNR and average inverse rate — a
+//     realization's rate is just bw * log2(1 + snr * |h|^2). These are plain
+//     copies of the topology's flat views taken by refresh().
 //
 // Both expected_hit_ratio (Eq. 2, storage-only) and fading_hit_ratio then
 // reduce to tight loops over these arrays with one reusable per-thread
@@ -27,14 +30,15 @@
 // caller handing the same base Rng to several placements compares them under
 // identical channel draws. Realization means are reduced in index order.
 //
-// Mobility: the plan is a snapshot. When the topology's user positions
-// change, apply_delta() patches the arena in place from the topology's
-// TopologyDelta — only the dirty users' link spans are recomputed, the
-// clean spans and the (position-independent) request rows are carried over
-// — and is bit-identical to building a fresh plan from the new snapshot.
-// sim::Evaluator drives this automatically by matching
-// NetworkTopology::last_delta() against its cached plan's revision, falling
-// back to a full rebuild when the delta does not chain.
+// Topology revisions: the link arrays are a snapshot of one
+// NetworkTopology::revision(). Every revision — update_user_positions
+// (mobility), set_availability masks and derating alike — goes through one
+// refresh() that re-copies the link views (O(links)) and drops the cached
+// placement lowering, whose link indices it invalidates; the request rows
+// are kept. A refreshed plan is bit-identical to one built from scratch on
+// the same topology, and owns its arrays, so it never dangles when the
+// topology changes or dies. sim::Evaluator builds its plan once and
+// refreshes it whenever the topology's revision has moved.
 //
 // Hit test: expected_hit_ratio (Eq. 2, storage-only) and fading_hit_ratio
 // share one kernel. The placement is lowered once (cached across calls,
@@ -97,27 +101,23 @@ inline constexpr std::uint64_t kFadingStream = 0xFADEull;
 
 class EvalPlan {
  public:
-  /// Snapshots the topology's current association/gain structure. Throws
-  /// std::invalid_argument on dimension mismatches.
+  /// Builds the request rows and snapshots the topology's current link
+  /// views (refresh). Throws std::invalid_argument on dimension mismatches.
   EvalPlan(const wireless::NetworkTopology& topology,
            const model::ModelLibrary& library,
            const workload::RequestModel& requests);
 
-  /// Patches the plan in place to the topology's current snapshot using the
-  /// dirty user set of `delta`: only the named users' link spans have their
-  /// inverse rates recomputed; every other span and all request rows are
-  /// carried over. The patched plan is bit-identical to a freshly built one.
-  ///
-  /// The delta must chain — delta.from_revision == topology_revision(),
-  /// delta.to_revision == topology.revision(), and !delta.full — otherwise
-  /// std::invalid_argument is thrown (callers fall back to a rebuild).
-  void apply_delta(const wireless::NetworkTopology& topology,
-                   const wireless::TopologyDelta& delta);
+  /// Re-copies the link arrays from `topology`'s current flat views and
+  /// drops the cached placement lowering; the request rows stay. `topology`
+  /// is the one the plan was built from, at any later revision (same
+  /// servers, users and radio); mismatched dimensions throw
+  /// std::invalid_argument.
+  void refresh(const wireless::NetworkTopology& topology);
 
   [[nodiscard]] std::size_t num_users() const noexcept { return num_users_; }
   [[nodiscard]] std::size_t num_links() const noexcept { return link_server_.size(); }
   [[nodiscard]] std::size_t num_rows() const noexcept { return rows_.size(); }
-  /// The NetworkTopology::revision() this plan was built from.
+  /// The NetworkTopology::revision() of the last refresh.
   [[nodiscard]] std::uint64_t topology_revision() const noexcept { return revision_; }
 
   /// Expected hit ratio under average rates: the storage-only Eq. 2 on this
@@ -137,7 +137,7 @@ class EvalPlan {
 
   /// Placement-lowering cache counters: how many expected_hit_ratio /
   /// fading_hit_ratio calls rebuilt the lowering vs reused the cached one
-  /// (keyed on PlacementSolution::revision(); invalidated by apply_delta).
+  /// (keyed on PlacementSolution::revision(); invalidated by refresh).
   [[nodiscard]] std::uint64_t lowering_builds() const noexcept {
     return lowering_builds_;
   }
@@ -193,25 +193,22 @@ class EvalPlan {
   std::uint64_t revision_ = 0;
   double total_mass_ = 0.0;
 
+  // Request rows: user k owns [row_offsets_[k], row_offsets_[k+1]).
+  // Position-independent, thresholds included: built once, kept by refresh.
+  std::vector<std::size_t> row_offsets_;
+  std::vector<Row> rows_;
+
   // Link spans: user k owns [link_offsets_[k], link_offsets_[k+1]).
+  // Copied from the topology by refresh.
   std::vector<std::size_t> link_offsets_;
   std::vector<ServerId> link_server_;
   std::vector<double> link_bandwidth_hz_;
   std::vector<double> link_mean_snr_;
   std::vector<double> avg_inv_rate_;  ///< 1 / C̄, +inf where the rate is 0
 
-  // Request rows: user k owns [row_offsets_[k], row_offsets_[k+1]).
-  // Position-independent, thresholds included: apply_delta carries them.
-  std::vector<std::size_t> row_offsets_;
-  std::vector<Row> rows_;
-
-  // apply_delta ping-pong scratch: keeps capacity across mobility slots so
-  // steady-state incremental updates do not allocate.
-  std::vector<double> inv_scratch_;
-
   // Placement-lowering cache (the hit test's per-placement setup). A cached
   // revision of 0 means "empty" — PlacementSolution revisions are never 0.
-  // apply_delta invalidates (link indices shift with the spans). mutable:
+  // refresh invalidates (link indices shift with the spans). mutable:
   // a cache behind a const evaluation API; see fading_hit_ratio's
   // thread-safety note.
   mutable PlacementLowering lowering_cache_;

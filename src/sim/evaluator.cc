@@ -13,9 +13,8 @@ using Clock = support::WallClock;
 namespace {
 
 /// Runs `call` on `plan` and folds the plan's lowering-counter increments
-/// into `stats`. The plan's counters restart with each rebuilt plan, so the
-/// cumulative stats accumulate per-call deltas (the same pattern as the
-/// build/delta timers).
+/// into `stats`. The stats accumulate per-call increments, so
+/// reset_plan_stats() restarts them without touching the plan.
 template <typename Call>
 auto counting_lowerings(const EvalPlan& plan, PlanMaintenanceStats& stats,
                         const Call& call) {
@@ -40,30 +39,17 @@ Evaluator::Evaluator(const wireless::NetworkTopology& topology,
 }
 
 const EvalPlan& Evaluator::plan() const {
-  const std::uint64_t revision = topology_->revision();
-  // Fresh plan (placement-only changes land here: they never move the
-  // topology revision, so the cached plan is reused as-is).
-  if (plan_ && plan_->topology_revision() == revision) return *plan_;
-
-  // Incremental path: the topology's last delta chains from our snapshot.
-  if (plan_) {
-    const wireless::TopologyDelta& delta = topology_->last_delta();
-    if (!delta.full && delta.to_revision == revision &&
-        delta.from_revision == plan_->topology_revision()) {
-      const auto start = Clock::now();
-      plan_->apply_delta(*topology_, delta);
-      stats_.delta_seconds += seconds_since(start);
-      ++stats_.deltas;
-      return *plan_;
-    }
+  if (!plan_) {
+    const auto start = Clock::now();
+    plan_ = std::make_unique<EvalPlan>(*topology_, *library_, *requests_);
+    stats_.build_seconds += seconds_since(start);
+    ++stats_.builds;
+  } else if (plan_->topology_revision() != topology_->revision()) {
+    const auto start = Clock::now();
+    plan_->refresh(*topology_);
+    stats_.refresh_seconds += seconds_since(start);
+    ++stats_.refreshes;
   }
-
-  // Full rebuild: first use, a full-rebuild delta, or a delta chain we
-  // missed (more than one revision behind).
-  const auto start = Clock::now();
-  plan_ = std::make_unique<EvalPlan>(*topology_, *library_, *requests_);
-  stats_.build_seconds += seconds_since(start);
-  ++stats_.builds;
   return *plan_;
 }
 

@@ -9,19 +9,18 @@
 // relayed through the best covering server, Eq. 5).
 //
 // Evaluator is a thin façade over the flat EvalPlan arena (eval_plan.h): it
-// lazily builds a plan from the topology's *current* snapshot and keeps it
-// fresh across mobility:
+// lazily builds one plan on first use and keeps it fresh across topology
+// revisions:
 //
 //   * placement-only changes never touch the topology revision, so they
 //     never invalidate the plan — evaluating any number of different
 //     placements costs exactly one build (plan_stats().builds counts them;
 //     tests/eval_delta_test.cc locks this in);
-//   * when the revision moves and NetworkTopology::last_delta() chains from
-//     the cached plan's revision, the plan is patched in place with
-//     EvalPlan::apply_delta (bit-identical to a rebuild, but skips the
-//     whole request-row refiltering and every clean link span);
-//   * otherwise (first use, full rebuild fallback, skipped revisions) a
-//     fresh plan is built.
+//   * when the revision has moved (mobility, availability masks, derating),
+//     the plan's link arrays are refreshed in place with EvalPlan::refresh
+//     — once per observed revision, however many revisions passed since the
+//     last call — and its request rows are kept, so the plan is built
+//     exactly once per Evaluator.
 //
 // On a compute-constrained topology, expected_hit_ratio is the joint caching +
 // compute objective, and the Evaluator returns core::expected_hit_ratio over
@@ -29,8 +28,8 @@
 // walk (core::evaluate_joint). That problem is built lazily, once per
 // topology revision, like the plan; it never touches the plan.
 //
-// plan_stats() exposes counts and wall-clock of both maintenance paths for
-// the mobility benches. The lazy cache makes the façade non-thread-safe:
+// plan_stats() exposes counts and wall-clock of the build and the refreshes
+// for the mobility benches. The lazy cache makes the façade non-thread-safe:
 // share an Evaluator within one thread only (fading_hit_ratio itself fans
 // out internally).
 #pragma once
@@ -51,10 +50,10 @@ namespace trimcaching::sim {
 
 /// Counters/timers of the Evaluator's plan-maintenance paths.
 struct PlanMaintenanceStats {
-  std::size_t builds = 0;        ///< full EvalPlan constructions
-  std::size_t deltas = 0;        ///< in-place apply_delta patches
-  double build_seconds = 0.0;    ///< wall-clock spent in full builds
-  double delta_seconds = 0.0;    ///< wall-clock spent in delta patches
+  std::size_t builds = 0;        ///< EvalPlan constructions (rows + links)
+  std::size_t refreshes = 0;     ///< EvalPlan::refresh calls (links only)
+  double build_seconds = 0.0;    ///< wall-clock spent in builds
+  double refresh_seconds = 0.0;  ///< wall-clock spent in refreshes
   /// Placement-lowering cache traffic of expected_hit_ratio and
   /// fading_hit_ratio calls through this Evaluator: rebuilds vs
   /// revision-keyed reuses (EvalPlan::lowering_*).
@@ -84,8 +83,9 @@ class Evaluator {
       const core::PlacementSolution& placement, std::size_t realizations,
       const support::Rng& rng, std::size_t threads = 1) const;
 
-  /// The plan for the topology's current snapshot (delta-patched or rebuilt
-  /// after mobility; untouched by placement-only changes).
+  /// The plan for the topology's current snapshot (built on first use,
+  /// refreshed when the revision moved; untouched by placement-only
+  /// changes).
   [[nodiscard]] const EvalPlan& plan() const;
 
   /// Cumulative plan-maintenance counters since construction (or the last

@@ -1,6 +1,9 @@
 #include "src/sim/replacement.h"
 
+#include <cmath>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "src/core/solver_registry.h"
 #include "src/sim/evaluator.h"
@@ -8,39 +11,60 @@
 
 namespace trimcaching::sim {
 
+void MobilityStudyConfig::validate() const {
+  const auto fail = [](const std::string& what) {
+    throw std::invalid_argument("MobilityStudyConfig: " + what);
+  };
+  if (!std::isfinite(slot_seconds) || slot_seconds <= 0) {
+    fail("slot_seconds must be finite and > 0");
+  }
+  if (eval_every_slots == 0) fail("eval_every_slots must be > 0");
+  const std::pair<double, const char*> fractions[] = {
+      {pedestrian_fraction, "pedestrian_fraction"},
+      {bike_fraction, "bike_fraction"},
+      {vehicle_fraction, "vehicle_fraction"}};
+  for (const auto& [value, name] : fractions) {
+    if (!std::isfinite(value) || value < 0) {
+      fail(std::string(name) + " must be finite and >= 0");
+    }
+  }
+  if (pedestrian_fraction + bike_fraction + vehicle_fraction <= 0) {
+    fail("the mobility fractions must not all be 0");
+  }
+}
+
 namespace {
 
 using support::WallClock;
 using support::seconds_since;
 
-// One evaluated slot's topology refresh: incremental = feed the mobility
-// step to apply_user_moves (the Evaluator then patches its plan from the
-// dirty-set delta); legacy = monolithic update_user_positions (full plan
-// rebuild downstream). Both paths are bit-identical by the delta contract.
+// One evaluated slot's topology update: the mobility step's positions
+// replace the old ones (association and link views recompute; the
+// Evaluator then refreshes its plan's link arrays and keeps its rows).
 void update_topology(wireless::NetworkTopology& topology,
                      const mobility::MobilityModel& mobility,
-                     const MobilityStudyConfig& config,
                      MobilityStudyTelemetry& telemetry) {
   const auto start = WallClock::now();
-  if (config.incremental) {
-    const wireless::TopologyDelta& delta =
-        topology.apply_user_moves(mobility.moves(), config.delta_fallback_fraction);
-    if (delta.full) ++telemetry.delta_fallbacks;
-  } else {
-    topology.update_user_positions(mobility.positions());
-  }
+  topology.update_user_positions(mobility.positions());
   telemetry.topology_update_seconds += seconds_since(start);
   ++telemetry.topology_updates;
 }
 
-// Folds the Evaluator's plan counters into the run telemetry.
+// Records the t = 0 plan build apart and restarts the Evaluator's counters,
+// so the per-slot telemetry holds pure per-slot maintenance.
+void start_slots(const Evaluator& evaluator, MobilityStudyTelemetry& telemetry) {
+  telemetry.initial_plan_build_seconds = evaluator.plan_stats().build_seconds;
+  evaluator.reset_plan_stats();
+}
+
+// Folds the Evaluator's per-slot plan counters into the run telemetry.
 void finish_telemetry(const Evaluator& evaluator, MobilityStudyTelemetry& telemetry,
                       MobilityStudyTelemetry* out) {
   const PlanMaintenanceStats& stats = evaluator.plan_stats();
   telemetry.plan_builds = stats.builds;
-  telemetry.plan_deltas = stats.deltas;
+  telemetry.plan_refreshes = stats.refreshes;
   telemetry.plan_build_seconds = stats.build_seconds;
-  telemetry.plan_delta_seconds = stats.delta_seconds;
+  telemetry.plan_refresh_seconds = stats.refresh_seconds;
   if (out != nullptr) *out = telemetry;
 }
 
@@ -50,7 +74,7 @@ void finish_telemetry(const Evaluator& evaluator, MobilityStudyTelemetry& teleme
 // a slot the base is shared, which scores competing placements under
 // identical channel draws.
 //
-// Batching: the Evaluator rebuilds its EvalPlan at most once per slot (the
+// Batching: the Evaluator refreshes its EvalPlan at most once per slot (the
 // topology revision moves only at update_user_positions), and every
 // placement scored within the slot shards its realizations over
 // config.threads pool workers — the studies' evaluation path is the same
@@ -72,9 +96,7 @@ std::vector<MobilityTracePoint> run_mobility_study(const ScenarioConfig& scenari
                                                    const MobilityStudyConfig& config,
                                                    support::Rng& rng,
                                                    MobilityStudyTelemetry* telemetry) {
-  if (config.eval_every_slots == 0) {
-    throw std::invalid_argument("run_mobility_study: eval_every_slots == 0");
-  }
+  config.validate();
   Scenario scenario = build_scenario(scenario_config, rng);
   const core::PlacementProblem problem = scenario.problem();
   // Independent contexts: a stochastic first solver must not perturb the
@@ -107,13 +129,11 @@ std::vector<MobilityTracePoint> run_mobility_study(const ScenarioConfig& scenari
     trace.push_back(MobilityTracePoint{0.0, evaluate(evaluator, spec, config, slot_rng),
                                        evaluate(evaluator, gen, config, slot_rng)});
   }
-  // The t = 0 plan build is a one-time cost shared by both maintenance
-  // paths; drop it so the telemetry reports pure per-slot maintenance.
-  evaluator.reset_plan_stats();
+  start_slots(evaluator, run_telemetry);
   for (std::size_t slot = 1; slot <= config.num_slots; ++slot) {
     mobility.step(config.slot_seconds, rng);
     if (slot % config.eval_every_slots != 0) continue;
-    update_topology(scenario.topology, mobility, config, run_telemetry);
+    update_topology(scenario.topology, mobility, run_telemetry);
     const support::Rng slot_rng = fading_master.at(0, slot);
     trace.push_back(MobilityTracePoint{
         slot * config.slot_seconds / 60.0, evaluate(evaluator, spec, config, slot_rng),
@@ -128,6 +148,7 @@ ReplacementStudyResult run_replacement_study(const ScenarioConfig& scenario_conf
                                              const ReplacementPolicy& policy,
                                              support::Rng& rng,
                                              MobilityStudyTelemetry* telemetry) {
+  config.validate();
   if (policy.degradation_threshold <= 0 || policy.degradation_threshold >= 1) {
     throw std::invalid_argument("run_replacement_study: threshold out of (0,1)");
   }
@@ -154,14 +175,12 @@ ReplacementStudyResult run_replacement_study(const ScenarioConfig& scenario_conf
   ReplacementStudyResult result;
   double reference = evaluate(evaluator, placement, config, fading_master.at(0, 0));
   result.trace.push_back(ReplacementTracePoint{0.0, reference, false});
-  // The t = 0 plan build is a one-time cost shared by both maintenance
-  // paths; drop it so the telemetry reports pure per-slot maintenance.
-  evaluator.reset_plan_stats();
+  start_slots(evaluator, run_telemetry);
 
   for (std::size_t slot = 1; slot <= config.num_slots; ++slot) {
     mobility.step(config.slot_seconds, rng);
     if (slot % config.eval_every_slots != 0) continue;
-    update_topology(scenario.topology, mobility, config, run_telemetry);
+    update_topology(scenario.topology, mobility, run_telemetry);
     const support::Rng slot_rng = fading_master.at(0, slot);
     double ratio = evaluate(evaluator, placement, config, slot_rng);
     bool replaced = false;

@@ -25,45 +25,39 @@ struct MobilityStudyConfig {
   /// Per-slot evaluation thread count (0 = hardware concurrency): each
   /// slot's fading realizations are sharded over the pool. Combined with the
   /// Evaluator's revision-watching plan cache this batches a slot into one
-  /// plan refresh plus realization-sharded scoring; results are
+  /// link-rate refresh plus realization-sharded scoring; results are
   /// bit-identical for any value.
   std::size_t threads = 0;
-  /// Incremental plan maintenance: per evaluated slot the topology consumes
-  /// the mobility step as a per-user move list (apply_user_moves) and the
-  /// Evaluator patches its EvalPlan from the resulting dirty-set delta
-  /// instead of rebuilding. Bit-identical to the monolithic path (false =
-  /// legacy update_user_positions + full rebuild; kept for A/B timing).
-  bool incremental = true;
-  /// Structural-churn fraction above which apply_user_moves falls back to a
-  /// full rebuild (see NetworkTopology::apply_user_moves). The studies
-  /// default to 1.0 (never fall back): their eval cadence is minutes, so
-  /// most users cross coverage boundaries between samples, yet the
-  /// compacting patch still beats a rebuild at full churn because the plan
-  /// delta skips the whole request-row refiltering. Lower it to re-enable
-  /// rebuild semantics under heavy churn.
-  double delta_fallback_fraction = 1.0;
   /// Registry specs (core/solver_registry.h) of the two placements tracked
   /// by the study; the defaults reproduce the paper's Fig. 7 pairing.
   std::string first_solver = "spec";
   std::string second_solver = "gen";
+
+  /// Throws std::invalid_argument naming the first bad knob: slot_seconds
+  /// must be finite and > 0, eval_every_slots > 0, and each mobility
+  /// fraction finite and >= 0 with a positive sum. Both studies call it
+  /// before building anything.
+  void validate() const;
 };
 
 /// Plan/topology maintenance telemetry of one mobility or replacement study
 /// run: how the per-slot update-then-evaluate pipeline spent its wall-clock
 /// keeping the evaluation arena fresh (solver and scoring time excluded).
+/// The t = 0 plan build is reported apart from the per-slot counters: an
+/// evaluated slot costs a topology update and a plan refresh (plan_builds
+/// stays 0 unless a slot rebuilt its rows).
 struct MobilityStudyTelemetry {
-  std::size_t topology_updates = 0;      ///< evaluated slots with a position update
-  double topology_update_seconds = 0.0;  ///< apply_user_moves / update_user_positions
-  std::size_t plan_builds = 0;           ///< full EvalPlan constructions
-  std::size_t plan_deltas = 0;           ///< in-place EvalPlan delta patches
+  std::size_t topology_updates = 0;         ///< evaluated slots with a position update
+  double topology_update_seconds = 0.0;     ///< update_user_positions
+  double initial_plan_build_seconds = 0.0;  ///< the t = 0 EvalPlan build
+  std::size_t plan_builds = 0;              ///< EvalPlan constructions after t = 0
+  std::size_t plan_refreshes = 0;           ///< EvalPlan::refresh calls
   double plan_build_seconds = 0.0;
-  double plan_delta_seconds = 0.0;
-  std::size_t delta_fallbacks = 0;  ///< incremental updates that hit the
-                                    ///< structural-churn full-rebuild fallback
+  double plan_refresh_seconds = 0.0;
 
-  /// Total plan-maintenance wall-clock (topology update + plan refresh).
+  /// Total per-slot maintenance wall-clock (topology update + plan upkeep).
   [[nodiscard]] double maintenance_seconds() const {
-    return topology_update_seconds + plan_build_seconds + plan_delta_seconds;
+    return topology_update_seconds + plan_build_seconds + plan_refresh_seconds;
   }
   /// Mean maintenance wall-clock per evaluated slot (0 when none ran).
   [[nodiscard]] double per_slot_maintenance_seconds() const {

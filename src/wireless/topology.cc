@@ -8,31 +8,6 @@
 
 namespace trimcaching::wireless {
 
-namespace {
-
-/// Walks the symmetric difference of two sorted server lists, invoking
-/// `on_left(m)` for servers only in `before` and `on_entered(m)` for servers
-/// only in `after` — the one coverage-diff merge apply_user_moves uses both
-/// to find touched servers and to patch their membership.
-template <typename Left, typename Entered>
-void diff_sorted_coverage(const std::vector<ServerId>& before,
-                          const std::vector<ServerId>& after, Left&& on_left,
-                          Entered&& on_entered) {
-  std::size_t a = 0, b = 0;
-  while (a < before.size() || b < after.size()) {
-    if (b == after.size() || (a < before.size() && before[a] < after[b])) {
-      on_left(before[a++]);
-    } else if (a == before.size() || after[b] < before[a]) {
-      on_entered(after[b++]);
-    } else {
-      ++a;
-      ++b;
-    }
-  }
-}
-
-}  // namespace
-
 void RadioConfig::validate() const {
   if (total_bandwidth_hz <= 0) throw std::invalid_argument("RadioConfig: bandwidth must be > 0");
   if (total_power_w <= 0) throw std::invalid_argument("RadioConfig: power must be > 0");
@@ -65,7 +40,6 @@ NetworkTopology::NetworkTopology(Area area, RadioConfig radio,
 void NetworkTopology::rebuild() {
   const std::size_t m_count = server_pos_.size();
   const std::size_t k_count = user_pos_.size();
-  const std::uint64_t from = revision_;
   covering_.assign(k_count, {});
   associated_.assign(m_count, {});
 
@@ -105,197 +79,65 @@ void NetworkTopology::rebuild() {
   }
 
   // Pass 2 — flat CSR link views consumed by the evaluation engine; this is
-  // also the only rate storage (avg_rate_bps searches these spans). An empty
-  // dirty set means "recompute every span".
-  refresh_links_partial({});
+  // also the only rate storage (avg_rate_bps searches these spans).
+  refresh_links();
   ++revision_;
-  last_delta_ = TopologyDelta{from, revision_, true, {}};
 }
 
-void NetworkTopology::refresh_links_partial(const std::vector<UserId>& dirty) {
+void NetworkTopology::refresh_links() {
   const std::size_t m_count = server_pos_.size();
   const std::size_t k_count = user_pos_.size();
   std::size_t total_links = 0;
   for (std::size_t k = 0; k < k_count; ++k) total_links += covering_[k].size();
 
   // Per-server shares hoisted out of the per-link loop (L >> M).
-  scratch_server_bw_.resize(m_count);
-  scratch_server_pw_.resize(m_count);
+  std::vector<double> server_bw(m_count);
+  std::vector<double> server_pw(m_count);
   for (std::size_t m = 0; m < m_count; ++m) {
-    scratch_server_bw_[m] = per_user_bandwidth_hz(static_cast<ServerId>(m));
-    scratch_server_pw_[m] = per_user_power_w(static_cast<ServerId>(m));
+    server_bw[m] = per_user_bandwidth_hz(static_cast<ServerId>(m));
+    server_pw[m] = per_user_power_w(static_cast<ServerId>(m));
   }
 
-  scratch_offsets_.assign(k_count + 1, 0);
-  scratch_flat_.clear();
-  scratch_bandwidth_.clear();
-  scratch_snr_.clear();
-  scratch_rate_.clear();
-  scratch_flat_.reserve(total_links);
-  scratch_bandwidth_.reserve(total_links);
-  scratch_snr_.reserve(total_links);
-  scratch_rate_.reserve(total_links);
+  covering_offsets_.assign(k_count + 1, 0);
+  covering_flat_.clear();
+  link_bandwidth_hz_.clear();
+  link_mean_snr_.clear();
+  link_avg_rate_.clear();
+  covering_flat_.reserve(total_links);
+  link_bandwidth_hz_.reserve(total_links);
+  link_mean_snr_.reserve(total_links);
+  link_avg_rate_.reserve(total_links);
 
-  const bool all_dirty = dirty.empty();
-  std::size_t next_dirty = 0;
   for (std::size_t k = 0; k < k_count; ++k) {
-    const bool recompute =
-        all_dirty || (next_dirty < dirty.size() && dirty[next_dirty] == k);
-    if (!all_dirty && recompute) ++next_dirty;
-    if (recompute) {
-      for (const ServerId m : covering_[k]) {
-        scratch_flat_.push_back(m);
-        // Availability view: a down server's links are dead (zero bandwidth,
-        // SNR and rate) — it cannot deliver or relay anything.
-        if (!available_.empty() && available_[m] == 0) {
-          scratch_bandwidth_.push_back(0.0);
-          scratch_snr_.push_back(0.0);
-          scratch_rate_.push_back(0.0);
-          continue;
-        }
-        const double bw = scratch_server_bw_[m];
-        const double pw = scratch_server_pw_[m];
-        const double d = distance(server_pos_[m], user_pos_[k]);
-        const double noise = radio_.channel.effective_noise_psd() * bw;
-        double snr = bw > 0 ? pw * path_gain(radio_.channel, d) / noise : 0.0;
-        double rate = shannon_rate(radio_.channel, bw, pw, d);
-        const double derate = snr_derating_.empty() ? 1.0 : snr_derating_[m];
-        if (derate < 1.0) {
-          // Degraded link: the rate recomputes from the derated SNR; the
-          // un-derated path above stays bit-identical to the maskless build.
-          snr *= derate;
-          rate = bw > 0 ? bw * std::log2(1.0 + snr) : 0.0;
-        }
-        scratch_bandwidth_.push_back(bw);
-        scratch_snr_.push_back(snr);
-        scratch_rate_.push_back(rate);
+    for (const ServerId m : covering_[k]) {
+      covering_flat_.push_back(m);
+      // Availability view: a down server's links are dead (zero bandwidth,
+      // SNR and rate) — it cannot deliver or relay anything.
+      if (!available_.empty() && available_[m] == 0) {
+        link_bandwidth_hz_.push_back(0.0);
+        link_mean_snr_.push_back(0.0);
+        link_avg_rate_.push_back(0.0);
+        continue;
       }
-    } else {
-      // Clean span: the user did not move and none of its servers changed
-      // membership, so the previous values are bit-identical to a recompute.
-      for (std::size_t l = covering_offsets_[k]; l < covering_offsets_[k + 1]; ++l) {
-        scratch_flat_.push_back(covering_flat_[l]);
-        scratch_bandwidth_.push_back(link_bandwidth_hz_[l]);
-        scratch_snr_.push_back(link_mean_snr_[l]);
-        scratch_rate_.push_back(link_avg_rate_[l]);
+      const double bw = server_bw[m];
+      const double pw = server_pw[m];
+      const double d = distance(server_pos_[m], user_pos_[k]);
+      const double noise = radio_.channel.effective_noise_psd() * bw;
+      double snr = bw > 0 ? pw * path_gain(radio_.channel, d) / noise : 0.0;
+      double rate = shannon_rate(radio_.channel, bw, pw, d);
+      const double derate = snr_derating_.empty() ? 1.0 : snr_derating_[m];
+      if (derate < 1.0) {
+        // Degraded link: the rate recomputes from the derated SNR; the
+        // un-derated path above stays bit-identical to the maskless build.
+        snr *= derate;
+        rate = bw > 0 ? bw * std::log2(1.0 + snr) : 0.0;
       }
+      link_bandwidth_hz_.push_back(bw);
+      link_mean_snr_.push_back(snr);
+      link_avg_rate_.push_back(rate);
     }
-    scratch_offsets_[k + 1] = scratch_flat_.size();
+    covering_offsets_[k + 1] = covering_flat_.size();
   }
-  covering_offsets_.swap(scratch_offsets_);
-  covering_flat_.swap(scratch_flat_);
-  link_bandwidth_hz_.swap(scratch_bandwidth_);
-  link_mean_snr_.swap(scratch_snr_);
-  link_avg_rate_.swap(scratch_rate_);
-}
-
-const TopologyDelta& NetworkTopology::apply_user_moves(const std::vector<UserMove>& moves,
-                                                       double max_dirty_fraction) {
-  const std::size_t m_count = server_pos_.size();
-  const std::size_t k_count = user_pos_.size();
-  if (max_dirty_fraction < 0.0) {
-    throw std::invalid_argument("apply_user_moves: negative max_dirty_fraction");
-  }
-  std::vector<char> moved(k_count, 0);
-  for (const UserMove& move : moves) {
-    if (move.user >= k_count) {
-      throw std::invalid_argument("apply_user_moves: user id out of range");
-    }
-    if (moved[move.user]) {
-      throw std::invalid_argument("apply_user_moves: duplicate user id");
-    }
-    moved[move.user] = 1;
-  }
-  if (moves.empty()) {
-    // True no-op: revision_ and last_delta_ stay put, so plan caches keep
-    // matching by revision instead of re-copying an unchanged arena. The
-    // returned delta chains trivially (from == to == current revision).
-    noop_delta_ = TopologyDelta{revision_, revision_, false, {}};
-    return noop_delta_;
-  }
-
-  // Grid diff queries: the new covering set of every moved user, blocked
-  // over the pool exactly like a full rebuild's coverage pass.
-  std::vector<std::vector<ServerId>> new_cover(moves.size());
-  constexpr std::size_t kMoveBlock = 4096;
-  const std::size_t num_blocks = (moves.size() + kMoveBlock - 1) / kMoveBlock;
-  support::parallel_for(num_blocks, 0, [&](std::size_t b) {
-    const std::size_t block_end = std::min(moves.size(), (b + 1) * kMoveBlock);
-    for (std::size_t j = b * kMoveBlock; j < block_end; ++j) {
-      auto& cover = new_cover[j];
-      server_grid_->for_candidates_in_disc(
-          moves[j].position, radio_.coverage_radius_m, [&](std::size_t m) {
-            if (distance(server_pos_[m], moves[j].position) <=
-                radio_.coverage_radius_m) {
-              cover.push_back(static_cast<ServerId>(m));
-            }
-          });
-      std::sort(cover.begin(), cover.end());
-    }
-  });
-
-  // Structural churn: servers whose membership changes (their per-user
-  // bandwidth/power shares move, dirtying every associated user).
-  std::vector<char> server_touched(m_count, 0);
-  std::vector<char> structural(k_count, 0);
-  for (std::size_t j = 0; j < moves.size(); ++j) {
-    const auto& before = covering_[moves[j].user];
-    const auto& after = new_cover[j];
-    if (before == after) continue;
-    structural[moves[j].user] = 1;
-    const auto touch = [&](ServerId m) { server_touched[m] = 1; };
-    diff_sorted_coverage(before, after, touch, touch);
-  }
-  std::size_t structural_count = 0;
-  for (std::size_t m = 0; m < m_count; ++m) {
-    if (!server_touched[m]) continue;
-    for (const UserId u : associated_[m]) structural[u] = 1;
-  }
-  for (std::size_t k = 0; k < k_count; ++k) structural_count += structural[k] != 0;
-
-  // Compaction fallback: heavy structural churn makes patching approach the
-  // cost of a rebuild — take the straight path so the arena never degrades.
-  if (static_cast<double>(structural_count) >
-      max_dirty_fraction * static_cast<double>(k_count)) {
-    for (const UserMove& move : moves) user_pos_[move.user] = move.position;
-    rebuild();  // sets last_delta_ to the full-rebuild delta
-    return last_delta_;
-  }
-
-  // Patch membership for the touched servers (sorted erase/insert keeps
-  // associated_ identical to what a rebuild would produce).
-  for (std::size_t j = 0; j < moves.size(); ++j) {
-    const UserId k = moves[j].user;
-    const auto& before = covering_[k];
-    const auto& after = new_cover[j];
-    if (before == after) continue;
-    diff_sorted_coverage(
-        before, after,
-        [&](ServerId m) {
-          auto& members = associated_[m];
-          members.erase(std::lower_bound(members.begin(), members.end(), k));
-        },
-        [&](ServerId m) {
-          auto& members = associated_[m];
-          members.insert(std::lower_bound(members.begin(), members.end(), k), k);
-        });
-  }
-  for (std::size_t j = 0; j < moves.size(); ++j) {
-    covering_[moves[j].user] = std::move(new_cover[j]);
-    user_pos_[moves[j].user] = moves[j].position;
-  }
-
-  // Dirty set = moved users (distances changed) ∪ structural users (their
-  // servers' shares changed); everyone else keeps bit-identical spans.
-  std::vector<UserId> dirty_users;
-  for (std::size_t k = 0; k < k_count; ++k) {
-    if (moved[k] || structural[k]) dirty_users.push_back(static_cast<UserId>(k));
-  }
-  refresh_links_partial(dirty_users);
-  const std::uint64_t from = revision_;
-  ++revision_;
-  last_delta_ = TopologyDelta{from, revision_, false, std::move(dirty_users)};
-  return last_delta_;
 }
 
 void NetworkTopology::set_compute_capacities(std::vector<double> capacities) {
@@ -336,13 +178,11 @@ void NetworkTopology::set_availability(std::vector<char> up,
   }
   available_ = std::move(up);
   snr_derating_ = std::move(snr_derating);
-  // Full link-view recompute under the new mask; association is untouched
-  // (the mask is a delivery view, not a deployment change), but consumers of
-  // the rates must rebuild, so this counts as a full-revision change.
-  const std::uint64_t from = revision_;
-  refresh_links_partial({});
+  // Link-view recompute under the new mask; association is untouched (the
+  // mask is a delivery view, not a deployment change), but consumers of the
+  // rates must refresh, so the revision moves.
+  refresh_links();
   ++revision_;
-  last_delta_ = TopologyDelta{from, revision_, true, {}};
 }
 
 bool NetworkTopology::is_associated(ServerId m, UserId k) const {

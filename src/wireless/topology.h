@@ -42,33 +42,6 @@ struct RadioConfig {
   void validate() const;
 };
 
-/// One user's new position for an incremental mobility update.
-struct UserMove {
-  UserId user = 0;
-  Point position{};
-};
-
-/// Result of an incremental position update (apply_user_moves): the exact
-/// set of users whose link spans changed between two revisions.
-///
-/// The dirty set is the union of
-///   * the moved users themselves (their link distances changed), and
-///   * every user associated with a server whose membership changed (its
-///     per-user bandwidth/power share B/(p_A·|K_m|) changed, found via
-///     SpatialGrid diff queries on the moved users' coverage discs).
-/// Users outside the set have bit-identical link spans before and after.
-///
-/// When the *structural* churn (users whose covering-server set changed plus
-/// members of the touched servers) exceeds the caller's dirty-fraction
-/// threshold, the update degenerates to a full rebuild and `full` is set —
-/// consumers must then rebuild instead of patching.
-struct TopologyDelta {
-  std::uint64_t from_revision = 0;
-  std::uint64_t to_revision = 0;
-  bool full = true;                  ///< fallback: treat every user as dirty
-  std::vector<UserId> dirty_users;   ///< ascending; empty when `full`
-};
-
 class NetworkTopology {
  public:
   /// Builds a topology from explicit positions. Capacities are per-server
@@ -122,7 +95,7 @@ class NetworkTopology {
   /// per-server SNR derating factors in [0, 1] (empty = no derating). Sizes
   /// must match num_servers() when non-empty; NaN or out-of-range values
   /// throw std::invalid_argument. Recomputes the link views and bumps
-  /// revision(), so cached plans rebuild. With no mask and no derating the
+  /// revision(), so cached plans refresh. With no mask and no derating the
   /// recomputed views are bit-identical to the unmasked topology.
   void set_availability(std::vector<char> up, std::vector<double> snr_derating = {});
   /// True when no mask is installed (every server up, no derating).
@@ -173,8 +146,9 @@ class NetworkTopology {
     return link_avg_rate_;
   }
 
-  /// Monotone counter bumped by every association rebuild (construction and
-  /// update_user_positions); lets plan caches detect mobility staleness.
+  /// Monotone counter bumped by every change of the link views
+  /// (construction, update_user_positions, set_availability); plan caches
+  /// compare it against their snapshot's to detect staleness.
   [[nodiscard]] std::uint64_t revision() const noexcept { return revision_; }
   /// Users associated with server m (the paper's K_m), ascending order.
   [[nodiscard]] const std::vector<UserId>& users_of(ServerId m) const {
@@ -212,38 +186,13 @@ class NetworkTopology {
   /// average rates. The number of users must stay constant.
   void update_user_positions(std::vector<Point> user_positions);
 
-  /// Incremental mobility update: moves only the listed users and patches
-  /// association and the flat link views in place. The patched state is
-  /// bit-identical to a full rebuild from the same final positions.
-  ///
-  /// Returns the delta (also retrievable via last_delta()) naming every user
-  /// whose link span changed. When the structural churn exceeds
-  /// `max_dirty_fraction` of the user population the method falls back to a
-  /// full rebuild and the returned delta has `full == true`, so incremental
-  /// consumers never patch more than they would rebuild.
-  ///
-  /// Throws std::invalid_argument on out-of-range or duplicate user ids.
-  const TopologyDelta& apply_user_moves(const std::vector<UserMove>& moves,
-                                        double max_dirty_fraction = 0.25);
-
-  /// The delta of the most recent association rebuild: `full` after
-  /// construction and update_user_positions, the dirty-set delta after a
-  /// non-empty apply_user_moves. An *empty* move list is a revision-
-  /// preserving no-op that leaves this unchanged (its trivial delta is only
-  /// returned by apply_user_moves itself). Plan caches match
-  /// `from_revision` against their own snapshot revision to decide between
-  /// patching and rebuilding.
-  [[nodiscard]] const TopologyDelta& last_delta() const noexcept { return last_delta_; }
-
   static constexpr double kInfiniteLatency = std::numeric_limits<double>::infinity();
 
  private:
   void rebuild();
-  /// Recomputes the flat CSR link views; `dirty` (ascending) names the users
-  /// whose spans need value recomputation, all other spans are copied from
-  /// the previous arrays (bit-identical by construction: their distances and
-  /// their servers' association counts are unchanged).
-  void refresh_links_partial(const std::vector<UserId>& dirty);
+  /// Recomputes the flat CSR link views from covering_, associated_ and the
+  /// availability mask.
+  void refresh_links();
 
   Area area_;
   RadioConfig radio_;
@@ -269,20 +218,8 @@ class NetworkTopology {
   std::uint64_t revision_ = 0;
 
   // Servers never move, so the association grid is built once and reused by
-  // every rebuild and incremental update.
+  // every rebuild.
   std::optional<SpatialGrid> server_grid_;
-  TopologyDelta last_delta_;
-  TopologyDelta noop_delta_;  ///< returned for empty move lists (no revision bump)
-
-  // Ping-pong scratch for refresh_links_partial: retains capacity across
-  // mobility slots so steady-state incremental updates do not allocate.
-  std::vector<std::size_t> scratch_offsets_;
-  std::vector<ServerId> scratch_flat_;
-  std::vector<double> scratch_bandwidth_;
-  std::vector<double> scratch_snr_;
-  std::vector<double> scratch_rate_;
-  std::vector<double> scratch_server_bw_;
-  std::vector<double> scratch_server_pw_;
 };
 
 /// Samples a topology with uniformly-placed servers and users and identical

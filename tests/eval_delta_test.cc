@@ -1,18 +1,16 @@
-// Contracts of the incremental evaluation engine:
+// Contracts of the evaluation engine across topology revisions:
 //
-//   * NetworkTopology::apply_user_moves patches association and the flat
-//     link views bit-identically to a full rebuild from the same final
-//     positions, across randomized scenarios, move subsets, and chained
-//     updates;
-//   * EvalPlan::apply_delta yields a plan whose expected_hit_ratio and
-//     fading_hit_ratio are bit-identical to a freshly built plan, at
-//     threads = 1 and threads = 8;
-//   * the structural-churn fallback threshold triggers exactly at the
-//     documented boundary (strictly-greater comparison);
-//   * the Evaluator never rebuilds on placement-only changes, consumes
-//     chaining deltas, and falls back to a rebuild when the chain breaks;
+//   * EvalPlan::refresh after NetworkTopology::update_user_positions yields
+//     a plan whose expected_hit_ratio and fading_hit_ratio are bit-identical
+//     to a fresh plan over a from-scratch topology, across randomized
+//     scenarios, move subsets, and chained updates, at threads = 1 and
+//     threads = 8;
+//   * the Evaluator never rebuilds on placement-only changes, builds its
+//     request rows once, and refreshes its link rates once per observed
+//     topology revision — mobility, availability masks and derating alike —
+//     bit-identically to a fresh Evaluator;
 //   * on a compute-constrained topology the Evaluator's joint objective
-//     tracks mobility: after each apply_user_moves it equals
+//     tracks mobility: after each position update it equals
 //     core::expected_hit_ratio on a fresh problem of the current topology;
 //   * the hit pass's per-row thresholds are exact: direct_threshold and
 //     relay_threshold return the largest inverse rate the latency tests
@@ -33,7 +31,6 @@
 #include "src/core/solver_registry.h"
 #include "src/sim/eval_plan.h"
 #include "src/sim/evaluator.h"
-#include "src/sim/replacement.h"
 #include "src/sim/scenario.h"
 #include "src/support/simd.h"
 #include "src/support/stats.h"
@@ -46,8 +43,6 @@ namespace {
 using support::Rng;
 using wireless::NetworkTopology;
 using wireless::Point;
-using wireless::TopologyDelta;
-using wireless::UserMove;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
@@ -62,7 +57,7 @@ ScenarioConfig varied_config(std::uint64_t seed) {
 }
 
 /// A fresh topology from the same deployment at the given user positions —
-/// the from-scratch reference the patched topology must match bit for bit.
+/// the from-scratch reference the updated topology must match bit for bit.
 NetworkTopology reference_topology(const NetworkTopology& like,
                                    std::vector<Point> user_positions) {
   std::vector<Point> servers;
@@ -75,10 +70,10 @@ NetworkTopology reference_topology(const NetworkTopology& like,
                          std::move(user_positions), std::move(capacities));
 }
 
-void expect_same_link_views(const NetworkTopology& patched,
+void expect_same_link_views(const NetworkTopology& updated,
                             const NetworkTopology& fresh) {
-  ASSERT_EQ(patched.covering_offsets(), fresh.covering_offsets());
-  ASSERT_EQ(patched.covering_flat(), fresh.covering_flat());
+  ASSERT_EQ(updated.covering_offsets(), fresh.covering_offsets());
+  ASSERT_EQ(updated.covering_flat(), fresh.covering_flat());
   const auto expect_bits = [](const std::vector<double>& a,
                               const std::vector<double>& b) {
     ASSERT_EQ(a.size(), b.size());
@@ -87,11 +82,11 @@ void expect_same_link_views(const NetworkTopology& patched,
           << "link " << l;
     }
   };
-  expect_bits(patched.link_bandwidth_hz(), fresh.link_bandwidth_hz());
-  expect_bits(patched.link_mean_snr(), fresh.link_mean_snr());
-  expect_bits(patched.link_avg_rate_bps(), fresh.link_avg_rate_bps());
-  for (ServerId m = 0; m < patched.num_servers(); ++m) {
-    EXPECT_EQ(patched.users_of(m), fresh.users_of(m)) << "server " << m;
+  expect_bits(updated.link_bandwidth_hz(), fresh.link_bandwidth_hz());
+  expect_bits(updated.link_mean_snr(), fresh.link_mean_snr());
+  expect_bits(updated.link_avg_rate_bps(), fresh.link_avg_rate_bps());
+  for (ServerId m = 0; m < updated.num_servers(); ++m) {
+    EXPECT_EQ(updated.users_of(m), fresh.users_of(m)) << "server " << m;
   }
 }
 
@@ -110,7 +105,16 @@ void expect_same_summary(const support::Summary& a, const support::Summary& b) {
   EXPECT_EQ(a.count, b.count);
 }
 
-TEST(ApplyUserMoves, BitIdenticalToRebuildAcrossRandomScenarios) {
+/// User k's position for every k: the vector update_user_positions takes.
+std::vector<Point> positions_of(const NetworkTopology& topology) {
+  std::vector<Point> positions;
+  for (UserId k = 0; k < topology.num_users(); ++k) {
+    positions.push_back(topology.user_position(k));
+  }
+  return positions;
+}
+
+TEST(PlanRefresh, BitIdenticalToRebuildAcrossRandomScenarios) {
   for (std::uint64_t seed = 0; seed < 50; ++seed) {
     Rng rng(seed);
     const ScenarioConfig config = varied_config(seed);
@@ -120,16 +124,12 @@ TEST(ApplyUserMoves, BitIdenticalToRebuildAcrossRandomScenarios) {
     const auto placement =
         core::SolverRegistry::instance().make("gen")->run(problem, context).placement;
 
-    NetworkTopology topology = scenario.topology;  // the patched copy
+    NetworkTopology topology = scenario.topology;  // the moving copy
     EvalPlan plan(topology, scenario.library, scenario.requests);
-    std::vector<Point> positions;
-    for (UserId k = 0; k < topology.num_users(); ++k) {
-      positions.push_back(topology.user_position(k));
-    }
+    std::vector<Point> positions = positions_of(topology);
 
-    // Three chained delta rounds: random subsets, jitters and teleports.
+    // Three chained rounds: random subsets, jitters and teleports.
     for (int round = 0; round < 3; ++round) {
-      std::vector<UserMove> moves;
       for (UserId k = 0; k < topology.num_users(); ++k) {
         if (!rng.bernoulli(0.5)) continue;
         Point p = positions[k];
@@ -144,13 +144,11 @@ TEST(ApplyUserMoves, BitIdenticalToRebuildAcrossRandomScenarios) {
                            topology.area().side_m);
         }
         positions[k] = p;
-        moves.push_back(UserMove{k, p});
       }
 
-      const TopologyDelta& delta = topology.apply_user_moves(moves, 1.0);
-      ASSERT_FALSE(delta.full) << "seed " << seed;
-      ASSERT_TRUE(std::is_sorted(delta.dirty_users.begin(), delta.dirty_users.end()));
-      plan.apply_delta(topology, delta);
+      topology.update_user_positions(positions);
+      plan.refresh(topology);
+      ASSERT_EQ(plan.topology_revision(), topology.revision()) << "seed " << seed;
 
       const NetworkTopology fresh = reference_topology(topology, positions);
       expect_same_link_views(topology, fresh);
@@ -167,108 +165,6 @@ TEST(ApplyUserMoves, BitIdenticalToRebuildAcrossRandomScenarios) {
   }
 }
 
-TEST(ApplyUserMoves, FallbackThresholdBoundary) {
-  // One server at the center; user 0 inside its coverage disc, three users
-  // far outside. Moving user 0 out of coverage is exactly one structural
-  // user out of four.
-  const wireless::Area area{1000.0};
-  wireless::RadioConfig radio;
-  std::vector<Point> servers = {Point{500, 500}};
-  const std::vector<Point> users = {Point{520, 500}, Point{20, 20}, Point{30, 900},
-                                    Point{950, 40}};
-  const std::vector<support::Bytes> capacities(1, support::gigabytes(1.0));
-  const std::vector<UserMove> out_of_coverage = {UserMove{0, Point{950, 950}}};
-
-  {
-    // structural_count (1) > 0.25 * K (1) is false -> incremental patch.
-    NetworkTopology topology(area, radio, servers, users, capacities);
-    const TopologyDelta& delta = topology.apply_user_moves(out_of_coverage, 0.25);
-    EXPECT_FALSE(delta.full);
-    EXPECT_EQ(delta.dirty_users, std::vector<UserId>{0});
-    EXPECT_TRUE(topology.servers_covering(0).empty());
-  }
-  {
-    // structural_count (1) > 0.2 * K (0.8) -> full-rebuild fallback.
-    NetworkTopology topology(area, radio, servers, users, capacities);
-    const TopologyDelta& delta = topology.apply_user_moves(out_of_coverage, 0.2);
-    EXPECT_TRUE(delta.full);
-    EXPECT_TRUE(delta.dirty_users.empty());
-    EXPECT_TRUE(topology.servers_covering(0).empty());
-    // The fallback still lands on the exact same state.
-    expect_same_link_views(topology,
-                           reference_topology(topology, {Point{950, 950}, users[1],
-                                                         users[2], users[3]}));
-  }
-  {
-    // A pure jitter (no coverage change) is never structural: even a zero
-    // threshold keeps the incremental path.
-    NetworkTopology topology(area, radio, servers, users, capacities);
-    const TopologyDelta& delta =
-        topology.apply_user_moves({UserMove{0, Point{510, 490}}}, 0.0);
-    EXPECT_FALSE(delta.full);
-    EXPECT_EQ(delta.dirty_users, std::vector<UserId>{0});
-  }
-  {
-    // Validation: out-of-range and duplicate user ids.
-    NetworkTopology topology(area, radio, servers, users, capacities);
-    EXPECT_THROW((void)topology.apply_user_moves({UserMove{9, Point{1, 1}}}, 1.0),
-                 std::invalid_argument);
-    EXPECT_THROW((void)topology.apply_user_moves(
-                     {UserMove{0, Point{1, 1}}, UserMove{0, Point{2, 2}}}, 1.0),
-                 std::invalid_argument);
-    EXPECT_THROW((void)topology.apply_user_moves({}, -0.5), std::invalid_argument);
-  }
-}
-
-TEST(ApplyUserMoves, EmptyMoveListIsATrueNoOp) {
-  Rng rng(91);
-  const Scenario scenario = build_scenario(varied_config(6), rng);
-  NetworkTopology topology = scenario.topology;
-  const Evaluator evaluator(topology, scenario.library, scenario.requests);
-  core::SolverContext context(rng.fork(5));
-  const auto placement = core::SolverRegistry::instance()
-                             .make("gen")
-                             ->run(scenario.problem(), context)
-                             .placement;
-  (void)evaluator.expected_hit_ratio(placement);
-
-  const std::uint64_t revision = topology.revision();
-  const TopologyDelta& delta = topology.apply_user_moves({}, 0.5);
-  // No revision bump: plan caches keep matching and skip all maintenance.
-  EXPECT_EQ(topology.revision(), revision);
-  EXPECT_FALSE(delta.full);
-  EXPECT_TRUE(delta.dirty_users.empty());
-  EXPECT_EQ(delta.from_revision, revision);
-  EXPECT_EQ(delta.to_revision, revision);
-  (void)evaluator.expected_hit_ratio(placement);
-  EXPECT_EQ(evaluator.plan_stats().builds, 1u);
-  EXPECT_EQ(evaluator.plan_stats().deltas, 0u);
-}
-
-TEST(EvalPlanDelta, RejectsDeltasThatDoNotChain) {
-  Rng rng(77);
-  const Scenario scenario = build_scenario(varied_config(4), rng);
-  NetworkTopology topology = scenario.topology;
-  EvalPlan plan(topology, scenario.library, scenario.requests);
-
-  // A full-rebuild delta must not be patchable.
-  std::vector<Point> positions;
-  for (UserId k = 0; k < topology.num_users(); ++k) {
-    positions.push_back(topology.user_position(k));
-  }
-  topology.update_user_positions(positions);
-  EXPECT_TRUE(topology.last_delta().full);
-  EXPECT_THROW(plan.apply_delta(topology, topology.last_delta()),
-               std::invalid_argument);
-
-  // A stale chain (two updates behind) must not be patchable either.
-  EvalPlan fresh(topology, scenario.library, scenario.requests);
-  (void)topology.apply_user_moves({UserMove{0, Point{10, 10}}}, 1.0);
-  (void)topology.apply_user_moves({UserMove{0, Point{20, 20}}}, 1.0);
-  EXPECT_THROW(fresh.apply_delta(topology, topology.last_delta()),
-               std::invalid_argument);
-}
-
 TEST(Evaluator, PlacementOnlyChangesNeverTriggerARebuild) {
   Rng rng(21);
   const Scenario scenario = build_scenario(varied_config(2), rng);
@@ -283,10 +179,10 @@ TEST(Evaluator, PlacementOnlyChangesNeverTriggerARebuild) {
     (void)evaluator.fading_hit_ratio(placement, 8, fading, 2);
   }
   EXPECT_EQ(evaluator.plan_stats().builds, 1u);
-  EXPECT_EQ(evaluator.plan_stats().deltas, 0u);
+  EXPECT_EQ(evaluator.plan_stats().refreshes, 0u);
 }
 
-TEST(Evaluator, ConsumesChainingDeltasAndRebuildsOtherwise) {
+TEST(Evaluator, BuildsRowsOnceAndRefreshesRatesPerObservedRevision) {
   Rng rng(22);
   Scenario scenario = build_scenario(varied_config(3), rng);
   const core::PlacementProblem problem = scenario.problem();
@@ -294,34 +190,95 @@ TEST(Evaluator, ConsumesChainingDeltasAndRebuildsOtherwise) {
   const auto placement =
       core::SolverRegistry::instance().make("gen")->run(problem, context).placement;
   const Evaluator evaluator(scenario.topology, scenario.library, scenario.requests);
+  const EvalPlan* const plan = &evaluator.plan();
+  const Rng fading(9);
 
-  (void)evaluator.expected_hit_ratio(placement);
-  EXPECT_EQ(evaluator.plan_stats().builds, 1u);
+  // Scores the placement through the long-lived evaluator, checks that it
+  // still holds its one plan and its counters, and compares both hit tests
+  // with a from-scratch Evaluator.
+  const auto expect_fresh_values = [&](std::size_t refreshes) {
+    const double value = evaluator.expected_hit_ratio(placement);
+    const support::Summary faded = evaluator.fading_hit_ratio(placement, 8, fading, 2);
+    EXPECT_EQ(&evaluator.plan(), plan);
+    EXPECT_EQ(evaluator.plan_stats().builds, 1u);
+    EXPECT_EQ(evaluator.plan_stats().refreshes, refreshes);
+    const Evaluator fresh(scenario.topology, scenario.library, scenario.requests);
+    expect_same_bits(value, fresh.expected_hit_ratio(placement));
+    expect_same_summary(faded, fresh.fading_hit_ratio(placement, 8, fading, 2));
+  };
+  expect_fresh_values(0);
 
-  // Incremental move -> the evaluator patches instead of rebuilding, and the
-  // patched value matches a from-scratch evaluator bit for bit.
-  (void)scenario.topology.apply_user_moves({UserMove{0, Point{123, 456}}}, 1.0);
-  const double patched = evaluator.expected_hit_ratio(placement);
-  EXPECT_EQ(evaluator.plan_stats().builds, 1u);
-  EXPECT_EQ(evaluator.plan_stats().deltas, 1u);
-  const Evaluator fresh(scenario.topology, scenario.library, scenario.requests);
-  expect_same_bits(patched, fresh.expected_hit_ratio(placement));
+  // One position update -> one refresh; the rows are not rebuilt.
+  std::vector<Point> positions = positions_of(scenario.topology);
+  positions[0] = Point{123, 456};
+  scenario.topology.update_user_positions(positions);
+  expect_fresh_values(1);
 
-  // Two updates without an evaluation in between break the chain: rebuild.
-  (void)scenario.topology.apply_user_moves({UserMove{1, Point{50, 60}}}, 1.0);
-  (void)scenario.topology.apply_user_moves({UserMove{2, Point{70, 80}}}, 1.0);
-  (void)evaluator.expected_hit_ratio(placement);
-  EXPECT_EQ(evaluator.plan_stats().builds, 2u);
-  EXPECT_EQ(evaluator.plan_stats().deltas, 1u);
+  // Two updates without an evaluation in between -> one refresh, to the
+  // latest revision.
+  positions[1] = Point{50, 60};
+  scenario.topology.update_user_positions(positions);
+  positions[2] = Point{70, 80};
+  scenario.topology.update_user_positions(positions);
+  expect_fresh_values(2);
 
-  // A monolithic update is a full delta: rebuild.
-  std::vector<Point> positions;
-  for (UserId k = 0; k < scenario.topology.num_users(); ++k) {
-    positions.push_back(scenario.topology.user_position(k));
+  // No revision change -> no refresh.
+  expect_fresh_values(2);
+}
+
+TEST(Evaluator, RefreshesAcrossAvailabilityRevisionsBitIdenticalToFresh) {
+  // The fault-scoring path (score_under_outages): one Evaluator follows its
+  // topology through a mask, a derating and a restore. After each step both
+  // hit tests must equal a fresh Evaluator over a from-scratch topology
+  // carrying the same mask, with the request rows still from the one build.
+  Rng rng(24);
+  const Scenario scenario = build_scenario(varied_config(7), rng);
+  core::SolverContext context(rng.fork(5));
+  const auto placement = core::SolverRegistry::instance()
+                             .make("gen")
+                             ->run(scenario.problem(), context)
+                             .placement;
+  NetworkTopology topology = scenario.topology;
+  const std::size_t servers = topology.num_servers();
+  const Evaluator evaluator(topology, scenario.library, scenario.requests);
+  const double nominal = evaluator.expected_hit_ratio(placement);
+  const Rng fading(17);
+
+  std::vector<char> mask(servers, 1);
+  mask[0] = 0;
+  std::vector<double> derating(servers, 1.0);
+  for (std::size_t m = 0; m < servers; m += 2) derating[m] = 0.05;
+  struct Step {
+    const char* name;
+    std::vector<char> up;
+    std::vector<double> snr_derating;
+  };
+  const std::vector<Step> steps = {
+      {"mask", mask, {}}, {"derate", {}, derating}, {"restore", {}, {}}};
+  bool changed = false;
+  for (std::size_t s = 0; s < steps.size(); ++s) {
+    const Step& step = steps[s];
+    SCOPED_TRACE(step.name);
+    topology.set_availability(step.up, step.snr_derating);
+    NetworkTopology fresh = reference_topology(topology, positions_of(topology));
+    if (!step.up.empty() || !step.snr_derating.empty()) {
+      fresh.set_availability(step.up, step.snr_derating);
+    }
+    const Evaluator reference(fresh, scenario.library, scenario.requests);
+    const double value = evaluator.expected_hit_ratio(placement);
+    expect_same_bits(value, reference.expected_hit_ratio(placement));
+    for (const std::size_t threads : {1u, 3u}) {
+      expect_same_summary(evaluator.fading_hit_ratio(placement, 23, fading, threads),
+                          reference.fading_hit_ratio(placement, 23, fading, threads));
+    }
+    EXPECT_EQ(evaluator.plan_stats().builds, 1u);
+    EXPECT_EQ(evaluator.plan_stats().refreshes, s + 1);
+    if (value != nominal) changed = true;
   }
-  scenario.topology.update_user_positions(std::move(positions));
-  (void)evaluator.expected_hit_ratio(placement);
-  EXPECT_EQ(evaluator.plan_stats().builds, 3u);
+  // The restored topology is the unmasked one again.
+  expect_same_bits(evaluator.expected_hit_ratio(placement), nominal);
+  EXPECT_TRUE(changed) << "no availability step moved the hit ratio: the "
+                          "refresh was never exercised on different rates";
 }
 
 TEST(Evaluator, JointObjectiveFollowsMobility) {
@@ -348,13 +305,16 @@ TEST(Evaluator, JointObjectiveFollowsMobility) {
   // round moves twice before evaluating (a skipped revision).
   bool moved_value = false;
   const Point corner{0.0, 0.0};
+  std::vector<Point> positions = positions_of(topology);
   for (std::size_t round = 1; round <= 4; ++round) {
-    std::vector<UserMove> moves;
     for (UserId k = 0; k < std::min<std::size_t>(2 * round, topology.num_users()); ++k) {
-      moves.push_back(UserMove{k, Point{corner.x + 5.0 * round, corner.y + 3.0 * k}});
+      positions[k] = Point{corner.x + 5.0 * round, corner.y + 3.0 * k};
     }
-    (void)topology.apply_user_moves(moves, 1.0);
-    if (round == 3) (void)topology.apply_user_moves({UserMove{0, corner}}, 1.0);
+    topology.update_user_positions(positions);
+    if (round == 3) {
+      positions[0] = corner;
+      topology.update_user_positions(positions);
+    }
     const double value = evaluator.expected_hit_ratio(placement);
     EXPECT_EQ(value, fresh_value()) << "round " << round;
     if (value != initial) moved_value = true;
@@ -537,35 +497,6 @@ TEST(FadingOracle, EvalPlanBitIdenticalOnEveryBackendAndThreadCount) {
       support::simd::clear_forced_backend();
     }
   }
-}
-
-TEST(MobilityStudy, IncrementalBitIdenticalToMonolithic) {
-  ScenarioConfig config = varied_config(1);
-  MobilityStudyConfig incremental;
-  incremental.num_slots = 36;
-  incremental.eval_every_slots = 6;
-  incremental.fading_realizations = 12;
-  incremental.threads = 2;
-  incremental.first_solver = "gen";
-  incremental.second_solver = "independent";
-  MobilityStudyConfig monolithic = incremental;
-  monolithic.incremental = false;
-
-  Rng rng_a(5), rng_b(5);
-  MobilityStudyTelemetry inc_telemetry, mono_telemetry;
-  const auto inc = run_mobility_study(config, incremental, rng_a, &inc_telemetry);
-  const auto mono = run_mobility_study(config, monolithic, rng_b, &mono_telemetry);
-  ASSERT_EQ(inc.size(), mono.size());
-  for (std::size_t p = 0; p < inc.size(); ++p) {
-    expect_same_bits(inc[p].spec_hit_ratio, mono[p].spec_hit_ratio);
-    expect_same_bits(inc[p].gen_hit_ratio, mono[p].gen_hit_ratio);
-  }
-  // Every evaluated slot was maintained: patched (or, under heavy structural
-  // churn, rebuilt) on the incremental leg, rebuilt on the monolithic leg.
-  EXPECT_EQ(inc_telemetry.topology_updates, 6u);
-  EXPECT_EQ(inc_telemetry.plan_deltas + inc_telemetry.plan_builds, 6u);
-  EXPECT_EQ(mono_telemetry.plan_builds, 6u);
-  EXPECT_EQ(mono_telemetry.plan_deltas, 0u);
 }
 
 }  // namespace

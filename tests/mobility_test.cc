@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "src/mobility/mobility.h"
 
@@ -111,6 +112,31 @@ TEST(MobilityModel, InputValidation) {
   MobilityModel model(area, {Point{1, 1}}, {MobilityClass::kBike}, rng);
   EXPECT_THROW(model.step(0.0, rng), std::invalid_argument);
   EXPECT_THROW((void)assign_classes(5, 0, 0, 0, rng), std::invalid_argument);
+}
+
+TEST(MobilityModel, StepRejectsNonFiniteDt) {
+  // A NaN or infinite slot would integrate every position to NaN or the
+  // area boundary without any error.
+  Rng rng(10);
+  MobilityModel model(Area{100.0}, {Point{1, 1}}, {MobilityClass::kBike}, rng);
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {inf, -inf, std::numeric_limits<double>::quiet_NaN(), -1.0}) {
+    EXPECT_THROW(model.step(bad, rng), std::invalid_argument) << bad;
+  }
+  EXPECT_EQ(model.positions()[0].x, 1.0);  // nothing moved
+}
+
+TEST(AssignClasses, RejectsEachNonFiniteOrNegativeFraction) {
+  // The total alone is not enough: one negative fraction next to positive
+  // ones still sums above 0.
+  Rng rng(11);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {-0.5, nan, inf, -inf}) {
+    EXPECT_THROW((void)assign_classes(5, bad, 1, 1, rng), std::invalid_argument) << bad;
+    EXPECT_THROW((void)assign_classes(5, 1, bad, 1, rng), std::invalid_argument) << bad;
+    EXPECT_THROW((void)assign_classes(5, 1, 1, bad, rng), std::invalid_argument) << bad;
+  }
 }
 
 TEST(AssignClasses, RespectsPureMixes) {

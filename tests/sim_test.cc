@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+#include <utility>
+
 #include "src/core/trimcaching_gen.h"
 #include "src/sim/evaluator.h"
 #include "src/sim/experiment.h"
@@ -227,6 +231,69 @@ TEST(MobilityStudy, InvalidConfigRejected) {
   config.eval_every_slots = 0;
   EXPECT_THROW((void)run_mobility_study(small_config(), config, rng),
                std::invalid_argument);
+  // Both studies validate before building anything.
+  config = MobilityStudyConfig{};
+  config.slot_seconds = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW((void)run_mobility_study(small_config(), config, rng),
+               std::invalid_argument);
+  EXPECT_THROW((void)run_replacement_study(small_config(), config, ReplacementPolicy{}, rng),
+               std::invalid_argument);
+}
+
+/// validate()'s message for `config`, or "" when it passes.
+std::string validation_error(const MobilityStudyConfig& config) {
+  try {
+    config.validate();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// validate() is the only thing called in these tests, so no study ever runs
+// with the bad values. Each rejection must name its knob.
+
+TEST(MobilityStudyConfigValidate, RejectsNonFiniteAndNonPositiveSlotSeconds) {
+  // A NaN or infinite slot would run to completion with every later sample
+  // scoring 0.
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {inf, -inf, std::numeric_limits<double>::quiet_NaN(), 0.0, -1.0}) {
+    MobilityStudyConfig config;
+    config.slot_seconds = bad;
+    EXPECT_NE(validation_error(config).find("slot_seconds"), std::string::npos) << bad;
+  }
+  EXPECT_EQ(validation_error(MobilityStudyConfig{}), "");
+}
+
+TEST(MobilityStudyConfigValidate, RejectsZeroEvalCadence) {
+  MobilityStudyConfig config;
+  config.eval_every_slots = 0;
+  EXPECT_NE(validation_error(config).find("eval_every_slots"), std::string::npos);
+}
+
+TEST(MobilityStudyConfigValidate, RejectsEachNonFiniteOrNegativeFraction) {
+  // A single negative fraction keeps the sum positive, so a total-only check
+  // would let it through; a NaN fraction would run silently.
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::pair<double MobilityStudyConfig::*, const char*> knobs[] = {
+      {&MobilityStudyConfig::pedestrian_fraction, "pedestrian_fraction"},
+      {&MobilityStudyConfig::bike_fraction, "bike_fraction"},
+      {&MobilityStudyConfig::vehicle_fraction, "vehicle_fraction"}};
+  for (const auto& [knob, name] : knobs) {
+    for (const double bad : {-0.1, inf, -inf, std::numeric_limits<double>::quiet_NaN()}) {
+      MobilityStudyConfig config;
+      config.*knob = bad;
+      EXPECT_NE(validation_error(config).find(name), std::string::npos)
+          << name << " = " << bad;
+    }
+    // A zero share is a valid mix.
+    MobilityStudyConfig config;
+    config.*knob = 0.0;
+    EXPECT_EQ(validation_error(config), "") << name;
+  }
+  MobilityStudyConfig none;
+  none.pedestrian_fraction = none.bike_fraction = none.vehicle_fraction = 0.0;
+  EXPECT_NE(validation_error(none).find("fractions"), std::string::npos);
 }
 
 // ----------------------------------------------------------------- Experiment

@@ -21,7 +21,7 @@
 //     partitions exactly;
 //   * PlacementSolution::revision moves on real mutations only, and the
 //     EvalPlan lowering cache keyed on it reports builds/hits (also through
-//     Evaluator::plan_stats) and invalidates on apply_delta.
+//     Evaluator::plan_stats) and invalidates on a plan refresh.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -379,7 +379,7 @@ TEST(LoweringCache, HitsOnSameRevisionRebuildsOnChange) {
   ASSERT_EQ(plan.lowering_hits(), 2u);
 }
 
-TEST(LoweringCache, InvalidatedByApplyDeltaAndSurfacedByEvaluator) {
+TEST(LoweringCache, InvalidatedByRefreshAndSurfacedByEvaluator) {
   Rng rng(6);
   const sim::ScenarioConfig config = small_config(6);
   const sim::Scenario scenario = sim::build_scenario(config, rng);
@@ -398,14 +398,16 @@ TEST(LoweringCache, InvalidatedByApplyDeltaAndSurfacedByEvaluator) {
 
   // A mobility update changes the link structure the lowering indexes into,
   // so the cached lowering must be discarded even though the placement (and
-  // its revision) did not move — whether the plan is delta-patched or fully
-  // rebuilt, the next call must re-lower.
-  std::vector<wireless::UserMove> moves;
-  moves.push_back(wireless::UserMove{
-      0, wireless::Point{topology.area().side_m * 0.5,
-                         topology.area().side_m * 0.5}});
-  (void)topology.apply_user_moves(moves, 1.0);
+  // its revision) did not move — the refreshed plan must re-lower.
+  std::vector<wireless::Point> positions;
+  for (UserId k = 0; k < topology.num_users(); ++k) {
+    positions.push_back(topology.user_position(k));
+  }
+  positions[0] = wireless::Point{topology.area().side_m * 0.5, topology.area().side_m * 0.5};
+  topology.update_user_positions(positions);
   (void)evaluator.fading_hit_ratio(placement, 4, fading, 1);
+  ASSERT_EQ(evaluator.plan_stats().builds, 1u);
+  ASSERT_EQ(evaluator.plan_stats().refreshes, 1u);
   ASSERT_EQ(evaluator.plan_stats().lowering_builds, 2u);
   ASSERT_EQ(evaluator.plan_stats().lowering_hits, 1u);
 }
