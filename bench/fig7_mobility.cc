@@ -111,7 +111,8 @@ int main(int argc, char** argv) {
                    support::Table::cell(gen_at[minutes].mean(), 4),
                    support::Table::cell(gen_at[minutes].stddev(), 4)});
   }
-  sim::emit_experiment("fig7_mobility",
+  // One CSV per scale, so running both in one directory keeps both.
+  sim::emit_experiment(scale == "paper" ? "fig7_mobility" : "fig7_mobility_" + scale,
                        "Hit ratio over 2 h of user mobility with a frozen placement "
                        "(paper Fig. 7; scale=" + scale + ")",
                        table);

@@ -2,10 +2,12 @@
 // deployments solved through sim::ScenarioTiler versus the monolithic
 // pipeline.
 //
-// Three sweep points grow the paper's M=10 / K=20 / I=30 setup at constant
+// Five sweep points grow the paper's M=10 / K=20 / I=30 setup at constant
 // server density (the area grows with M; users densify, as in the journal
 // regimes of arXiv:2404.14204): 2x (M=14, K=40, I=60), 10x (M=32, K=200,
-// I=300) and 100x (M=100, K=2000, I=1000 — a 10^3-model zoo). Request
+// I=300), 100x (M=100, K=2000, I=1000 — a 10^3-model zoo, 2x2 tiles), 300x
+// (M=300, K=6000, 3x3 tiles) and 1000x (M=1000, K=10000, 5x5 tiles), the
+// last two on the same 1000-model zoo. Request
 // deadlines widen to 2–6 s (edge model download tolerance): at thousands of
 // users per deployment the per-user bandwidth share shrinks ~10x, and the
 // paper's 0.5–1 s interactive window would make nearly every request
@@ -30,16 +32,18 @@
 // (support/resource.h RssSampler, with release_freed_memory() between
 // variants so one variant's freed pages do not inflate the next variant's
 // watermark). With factored hit lists (core/problem.h) the full 100x
-// problem holds only a few MB, so the untiled and serial tiled peaks sit
-// close together, both dominated by the scenario's dense K x I request
-// arrays (about 64 MB at 100x). Everything
+// problem holds only a few MB, and the request model keeps only each user's
+// 30 requested models (workload/request_model.h): about 1.6 MB at 100x,
+// recorded as request_model_mb on each untiled record. Everything
 // lands in BENCH_scale.json (bench/bench_json.h schema, incl. the
-// hit_ratio, duplication_factor and peak_rss_mb metrics) for the perf
-// trajectory and the speedup and duplication gates of bench/gates.txt.
+// hit_ratio, duplication_factor, peak_rss_mb and request_model_mb metrics)
+// for the perf trajectory and the speedup, duplication and request-model
+// memory gates of bench/gates.txt.
 //
 //   ./fig8_scale                        # 10x + 100x
-//   ./fig8_scale scale=2x threads=4    # CI smoke
-//   ./fig8_scale scale=10x,100x reps=3
+//   ./fig8_scale scale=2x threads=4    # smoke
+//   ./fig8_scale scale=2x,10x,100x reps=3   # CI
+//   ./fig8_scale scale=300x,1000x reps=1    # past 100x
 #include <algorithm>
 #include <chrono>
 #include <iostream>
@@ -80,6 +84,8 @@ const std::vector<ScalePoint>& all_points() {
       {"2x", 14, 40, 60, 20, 1183.0, 2},
       {"10x", 32, 200, 300, 100, 1789.0, 2},
       {"100x", 100, 2000, 1000, 334, 3162.0, 2},
+      {"300x", 300, 6000, 1000, 334, 5477.0, 3},
+      {"1000x", 1000, 10000, 1000, 334, 10000.0, 5},
   };
   return points;
 }
@@ -126,7 +132,7 @@ int main(int argc, char** argv) {
                        [&name](const ScalePoint& p) { return p.name == name; });
       if (it == all_points().end()) {
         throw std::invalid_argument("fig8_scale: unknown scale '" + name +
-                                    "' (available: 2x, 10x, 100x)");
+                                    "' (available: 2x, 10x, 100x, 300x, 1000x)");
       }
       points.push_back(*it);
     }
@@ -283,7 +289,11 @@ int main(int argc, char** argv) {
                               {"duplication_factor", result.duplication_factor}};
       };
       record("untiled_serial", untiled_wall, 1,
-             {{"hit_ratio", untiled_hit}, {"duplication_factor", untiled_dup}}, untiled_rss);
+             {{"hit_ratio", untiled_hit},
+              {"duplication_factor", untiled_dup},
+              {"request_model_mb", static_cast<double>(scenario.requests.memory_bytes()) /
+                                       (1024.0 * 1024.0)}},
+             untiled_rss);
       record("tiled_serial", tiled_serial.wall_seconds, 1, solved(tiled_serial),
              tiled_serial_rss);
       record("tiled_threaded", tiled_threaded.wall_seconds, threads,

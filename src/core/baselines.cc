@@ -13,9 +13,11 @@ BaselineResult top_popularity_caching(const PlacementProblem& problem) {
   const std::size_t num_models = problem.num_models();
 
   std::vector<double> popularity(num_models, 0.0);
+  const workload::RequestModel& requests = problem.requests();
   for (UserId k = 0; k < problem.num_users(); ++k) {
-    for (ModelId i = 0; i < num_models; ++i) {
-      popularity[i] += problem.request_probability(k, i);
+    const workload::RequestModel::Support support = requests.support_of(problem.global_user(k));
+    for (std::size_t s = 0; s < support.models.size(); ++s) {
+      popularity[support.models[s]] += support.probability[s];
     }
   }
   std::vector<ModelId> order(num_models);

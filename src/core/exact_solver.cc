@@ -33,12 +33,14 @@ class Search {
     // variable with index >= t, regardless of coverage (monotone objective).
     // We refine at query time by skipping already-covered cells.
     cell_last_var_.assign(problem.num_users() * problem.num_models(), -1);
+    cell_mass_.assign(cell_last_var_.size(), 0.0);
     for (std::size_t t = 0; t < vars_.size(); ++t) {
       for (const HitEntry& entry : problem.hit_list(vars_[t].server, vars_[t].model)) {
         const std::size_t cell =
             static_cast<std::size_t>(entry.user) * problem.num_models() +
             vars_[t].model;
         cell_last_var_[cell] = static_cast<std::ptrdiff_t>(t);
+        cell_mass_[cell] = entry.mass;
       }
     }
   }
@@ -63,7 +65,7 @@ class Search {
       const auto i = static_cast<ModelId>(cell % problem_->num_models());
       if (cell_last_var_[cell] >= static_cast<std::ptrdiff_t>(t) &&
           !coverage_.covered(k, i)) {
-        mass += problem_->request_probability(k, i);
+        mass += cell_mass_[cell];
       }
     }
     return mass;
@@ -105,6 +107,7 @@ class Search {
   std::vector<ServerStorage> storage_;
   std::vector<Var> chosen_;
   std::vector<std::ptrdiff_t> cell_last_var_;
+  std::vector<double> cell_mass_;  ///< p_{k,i} of every cell some hit list holds
 
   double best_mass_ = 0.0;
   PlacementSolution best_placement_;

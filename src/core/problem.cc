@@ -137,10 +137,12 @@ void PlacementProblem::build() {
     // cover k; in a tile view every local server may cover a halo user.
     const bool relay_open = cover.size() < num_servers_;
 
-    for (const ModelId i : requests_->requested_models(gk)) {
-      const double p = requests_->probability(gk, i);
+    const workload::RequestModel::Support support = requests_->support_of(gk);
+    for (std::size_t s = 0; s < support.models.size(); ++s) {
+      const ModelId i = support.models[s];
+      const double p = support.probability[s];
       total_mass_ += p;
-      const double budget = requests_->deadline_s(gk, i) - requests_->inference_s(gk, i);
+      const double budget = support.deadline_s[s] - support.inference_s[s];
       if (budget <= 0) continue;
       const double bits = payload_bits_[i];
       const HitEntry entry{static_cast<UserId>(k), p};
@@ -263,7 +265,11 @@ bool PlacementProblem::eligible(ServerId m, UserId k, ModelId i) const {
     throw std::out_of_range("PlacementProblem::eligible");
   }
   const UserId gk = global_user(k);
-  const double budget = requests_->deadline_s(gk, i) - requests_->inference_s(gk, i);
+  // A p = 0 pair is never requested, so it is never served (and has no QoS).
+  const std::size_t s = requests_->slot(gk, i);
+  if (s == workload::RequestModel::kOffSupport) return false;
+  const workload::RequestModel::Support support = requests_->support_of(gk);
+  const double budget = support.deadline_s[s] - support.inference_s[s];
   if (budget <= 0) return false;
   const double inv = inv_eff_[static_cast<std::size_t>(m) * num_users_ + k];
   if (inv == kInf) return false;

@@ -185,7 +185,8 @@ class PlacementProblem {
 
   /// Compute cost c_{k,i} of one inference of model i for view-local user k
   /// (abstract units). The expected load a served request adds to its
-  /// holder's budget is p_{k,i} · c_{k,i}.
+  /// holder's budget is p_{k,i} · c_{k,i}. Throws std::out_of_range when
+  /// p_{k,i} = 0 (workload::RequestModel keeps QoS for requested pairs only).
   [[nodiscard]] double compute_cost(UserId k, ModelId i) const {
     return requests_->compute_cost(global_user(k), i);
   }
@@ -196,6 +197,7 @@ class PlacementProblem {
   }
 
   /// I1(m,k,i): can server m serve user k's request for model i in time?
+  /// False for a pair user k never requests (p_{k,i} = 0).
   [[nodiscard]] bool eligible(ServerId m, UserId k, ModelId i) const;
 
   /// Low-level flat link views for batched eligibility sweeps

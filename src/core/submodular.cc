@@ -56,12 +56,14 @@ RefillStats greedy_refill(const PlacementProblem& problem, CountedCoverage& cove
   const workload::RequestModel& requests = problem.requests();
   for (UserId k = 0; k < problem.num_users(); ++k) {
     const UserId gk = problem.global_user(k);
-    for (const ModelId i : requests.requested_models(gk)) {
+    const workload::RequestModel::Support support = requests.support_of(gk);
+    for (std::size_t s = 0; s < support.models.size(); ++s) {
+      const ModelId i = support.models[s];
       if (coverage.covered(k, i)) continue;
-      const double budget = requests.deadline_s(gk, i) - requests.inference_s(gk, i);
+      const double budget = support.deadline_s[s] - support.inference_s[s];
       if (budget <= 0) continue;  // mirrors the hit-list construction
-      pairs.push_back(UncoveredPair{k, i, requests.probability(gk, i),
-                                    problem.payload_bits(i), budget});
+      pairs.push_back(
+          UncoveredPair{k, i, support.probability[s], problem.payload_bits(i), budget});
     }
   }
   const double backhaul = problem.backhaul_bps();

@@ -61,7 +61,11 @@ struct Request {
   ModelId model = 0;
   double spectral_efficiency = 0.0;  ///< bits/s/Hz on the chosen downlink
   Route route = Route::kBestCovering;
+  /// The model's slot in the user's RequestModel support, so the replay
+  /// reads its QoS without a search. Sits in what was padding.
+  std::uint32_t slot = 0;
 };
+static_assert(sizeof(Request) == 32, "Request must stay 32 bytes");
 
 /// A stage-1 routing decision: the serving server (kInvalidId = none), the
 /// spectral efficiency of its link, and whether it holds the model warm.
@@ -232,8 +236,9 @@ class ServerLoop {
     flow.request_time = now;
     flow.user = request.user;
     flow.model = i;
-    flow.inference_s = requests_->inference_s(request.user, i);
-    flow.budget_s = requests_->deadline_s(request.user, i) - flow.inference_s;
+    const workload::RequestModel::Support support = requests_->support_of(request.user);
+    flow.inference_s = support.inference_s[request.slot];
+    flow.budget_s = support.deadline_s[request.slot] - flow.inference_s;
     // A non-positive budget can never be met: count it unserved at attach
     // instead of enqueueing a flow that is guaranteed to finish late (and
     // would meanwhile steal bandwidth from flows that could still hit).
@@ -498,16 +503,17 @@ class ServerLoop {
   ServeMetrics metrics_;
 };
 
-/// Stationary per-user sampling CDF over the RequestModel's p > 0 support.
+/// Stationary per-user sampling CDF over the RequestModel's p > 0 support:
+/// cumulative[s] is the mass of the user's slots 0..s.
 struct UserCdf {
-  std::vector<std::pair<double, ModelId>> entries;
+  std::vector<double> cumulative;
 
-  [[nodiscard]] ModelId sample(support::Rng& rng) const {
-    const double x = rng.uniform(0.0, entries.back().first);
-    const auto it = std::lower_bound(
-        entries.begin(), entries.end(), x,
-        [](const std::pair<double, ModelId>& e, double v) { return e.first < v; });
-    return it == entries.end() ? entries.back().second : it->second;
+  /// Draws a support slot.
+  [[nodiscard]] std::uint32_t sample(support::Rng& rng) const {
+    const double x = rng.uniform(0.0, cumulative.back());
+    const auto it = std::lower_bound(cumulative.begin(), cumulative.end(), x);
+    return static_cast<std::uint32_t>(std::min<std::size_t>(
+        static_cast<std::size_t>(it - cumulative.begin()), cumulative.size() - 1));
   }
 };
 
@@ -524,8 +530,24 @@ ServeResult simulate_serving(const wireless::NetworkTopology& topology,
       requests.num_users() != topology.num_users()) {
     throw std::invalid_argument("simulate_serving: dimension mismatch");
   }
-  if (config.drift != nullptr && config.drift->num_models() != library.num_models()) {
-    throw std::invalid_argument("simulate_serving: drift/library model count mismatch");
+  if (config.drift != nullptr) {
+    if (config.drift->num_models() != library.num_models()) {
+      throw std::invalid_argument("simulate_serving: drift/library model count mismatch");
+    }
+    // Drift may draw any model for any user, and QoS exists only on the
+    // p > 0 support: every support must be the whole library, where a
+    // model's slot is its id.
+    for (UserId k = 0; k < requests.num_users(); ++k) {
+      if (requests.requested_models(k).size() != library.num_models()) {
+        throw std::invalid_argument(
+            "simulate_serving: drift needs every user to request the whole library, "
+            "but user " + std::to_string(k) + " requests " +
+            std::to_string(requests.requested_models(k).size()) + " of " +
+            std::to_string(library.num_models()) +
+            " models (set models_per_user = 0 and a Zipf exponent whose pmf does "
+            "not underflow)");
+      }
+    }
   }
   if (config.faults != nullptr &&
       config.faults->num_servers() != topology.num_servers()) {
@@ -565,9 +587,9 @@ ServeResult simulate_serving(const wireless::NetworkTopology& topology,
     cdfs.resize(num_users);
     for (UserId k = 0; k < num_users; ++k) {
       double acc = 0.0;
-      for (const ModelId i : requests.requested_models(k)) {
-        acc += requests.probability(k, i);
-        cdfs[k].entries.emplace_back(acc, i);
+      for (const double p : requests.support_of(k).probability) {
+        acc += p;
+        cdfs[k].cumulative.push_back(acc);
       }
     }
   }
@@ -615,10 +637,14 @@ ServeResult simulate_serving(const wireless::NetworkTopology& topology,
     support::Rng rng = seed.at(kUserStream, k);
     const std::size_t begin = offsets[k];
     const std::size_t end = offsets[k + 1];
+    const std::span<const ModelId> models = requests.requested_models(k);
     for (double t = rng.exponential(config.arrival_rate_per_user);
          t <= config.duration_s; t += rng.exponential(config.arrival_rate_per_user)) {
-      const ModelId i = config.drift != nullptr ? config.drift->sample(t, rng)
-                                                : cdfs[k].sample(rng);
+      // Under drift every support is the whole library, so a model's slot
+      // is its id.
+      const std::uint32_t slot = config.drift != nullptr ? config.drift->sample(t, rng)
+                                                         : cdfs[k].sample(rng);
+      const ModelId i = config.drift != nullptr ? slot : models[slot];
       const double gain = config.average_channel
                               ? 1.0
                               : wireless::sample_rayleigh_power_gain(rng);
@@ -633,6 +659,7 @@ ServeResult simulate_serving(const wireless::NetworkTopology& topology,
       request.time = t;
       request.user = k;
       request.model = i;
+      request.slot = slot;
       // The routing rule, one scan shared by every path: the covering warm
       // holder of i with the best spectral efficiency (a direct hit), else
       // the best covering server outright — for a reactive cache always (the

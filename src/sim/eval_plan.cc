@@ -128,12 +128,12 @@ EvalPlan::EvalPlan(const wireless::NetworkTopology& topology,
     payload_bits[i] = support::bits(library.model_size(i));
   }
   for (UserId k = 0; k < num_users_; ++k) {
-    for (ModelId i = 0; i < num_models_; ++i) {
-      const double p = requests.probability(k, i);
-      if (p <= 0.0) continue;
-      const double budget = requests.deadline_s(k, i) - requests.inference_s(k, i);
+    const workload::RequestModel::Support support = requests.support_of(k);
+    for (std::size_t s = 0; s < support.models.size(); ++s) {
+      const double budget = support.deadline_s[s] - support.inference_s[s];
       if (budget <= 0.0) continue;
-      rows_.push_back(Row{i, p, direct_threshold(payload_bits[i], budget),
+      const ModelId i = support.models[s];
+      rows_.push_back(Row{i, support.probability[s], direct_threshold(payload_bits[i], budget),
                           relay_threshold(payload_bits[i], budget, backhaul_bps)});
     }
     row_offsets_[k + 1] = rows_.size();

@@ -40,8 +40,11 @@ NetworkTopology::NetworkTopology(Area area, RadioConfig radio,
 void NetworkTopology::rebuild() {
   const std::size_t m_count = server_pos_.size();
   const std::size_t k_count = user_pos_.size();
-  covering_.assign(k_count, {});
-  associated_.assign(m_count, {});
+  // Lists are cleared, not re-created: a rebuild per mobility slot reuses
+  // every list's capacity.
+  covering_.resize(k_count);
+  associated_.resize(m_count);
+  for (auto& users : associated_) users.clear();
 
   // Pass 1 — coverage, streamed over users in fixed-size blocks through the
   // persistent server grid (cell = coverage radius): each user's query
@@ -56,6 +59,7 @@ void NetworkTopology::rebuild() {
     const std::size_t block_end = std::min(k_count, (b + 1) * kUserBlock);
     for (std::size_t k = b * kUserBlock; k < block_end; ++k) {
       auto& cover = covering_[k];
+      cover.clear();
       server_grid_->for_candidates_in_disc(
           user_pos_[k], radio_.coverage_radius_m, [&](std::size_t m) {
             if (distance(server_pos_[m], user_pos_[k]) <= radio_.coverage_radius_m) {

@@ -68,11 +68,26 @@ DriftingZipf::DriftingZipf(std::vector<ModelId> base_order, double duration_s,
 
 std::vector<ModelId> DriftingZipf::popularity_order(const RequestModel& requests,
                                                     UserId k) {
-  std::vector<ModelId> order(requests.num_models());
-  std::iota(order.begin(), order.end(), ModelId{0});
-  std::stable_sort(order.begin(), order.end(), [&](ModelId a, ModelId b) {
-    return requests.probability(k, a) > requests.probability(k, b);
+  // The support by descending probability (stable: ties by ascending id),
+  // then every p = 0 model by ascending id.
+  const RequestModel::Support support = requests.support_of(k);
+  const std::span<const ModelId> models = support.models;
+  std::vector<std::size_t> slots(models.size());
+  std::iota(slots.begin(), slots.end(), std::size_t{0});
+  std::stable_sort(slots.begin(), slots.end(), [&](std::size_t a, std::size_t b) {
+    return support.probability[a] > support.probability[b];
   });
+  std::vector<ModelId> order;
+  order.reserve(requests.num_models());
+  for (const std::size_t s : slots) order.push_back(models[s]);
+  std::size_t next = 0;  // next support slot in id order
+  for (ModelId i = 0; i < requests.num_models(); ++i) {
+    if (next < models.size() && models[next] == i) {
+      ++next;
+    } else {
+      order.push_back(i);
+    }
+  }
   return order;
 }
 

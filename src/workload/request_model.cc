@@ -1,7 +1,9 @@
 #include "src/workload/request_model.h"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "src/workload/zipf.h"
 
@@ -20,11 +22,6 @@ void RequestConfig::validate() const {
   }
 }
 
-std::size_t RequestModel::at(UserId k, ModelId i) const {
-  if (k >= num_users_ || i >= num_models_) throw std::out_of_range("RequestModel::at");
-  return static_cast<std::size_t>(k) * num_models_ + i;
-}
-
 RequestModel RequestModel::generate(std::size_t num_users, std::size_t num_models,
                                     const RequestConfig& config, support::Rng& rng) {
   config.validate();
@@ -40,55 +37,114 @@ RequestModel RequestModel::generate(std::size_t num_users, std::size_t num_model
   RequestModel rm;
   rm.num_users_ = num_users;
   rm.num_models_ = num_models;
-  rm.probability_.assign(num_users * num_models, 0.0);
-  rm.deadline_.assign(num_users * num_models, 0.0);
-  rm.inference_.assign(num_users * num_models, 0.0);
-  rm.cost_.assign(num_users * num_models, 0.0);
+  rm.infer_cost_scale_ = config.infer_cost_scale;
 
   const ZipfDistribution zipf(interest, config.zipf_exponent);
-  std::vector<std::size_t> global_order = rng.permutation(num_models);
-  for (UserId k = 0; k < num_users; ++k) {
-    const std::vector<std::size_t> order =
-        config.per_user_popularity ? rng.permutation(num_models) : global_order;
-    for (std::size_t rank = 0; rank < interest; ++rank) {
-      const auto i = static_cast<ModelId>(order[rank]);
-      rm.probability_[rm.at(k, i)] = zipf.pmf(rank);
-    }
-    for (ModelId i = 0; i < num_models; ++i) {
-      rm.deadline_[rm.at(k, i)] = rng.uniform(config.deadline_min_s, config.deadline_max_s);
-      rm.inference_[rm.at(k, i)] =
-          rng.uniform(config.inference_min_s, config.inference_max_s);
-      // Deterministic in the QoS draws: no extra randomness, so the request
-      // stream is bit-identical to the cost-oblivious generator.
-      rm.cost_[rm.at(k, i)] = config.infer_cost_scale * rm.inference_[rm.at(k, i)];
-    }
-  }
-  rm.total_mass_ = 0.0;
-  for (const double p : rm.probability_) rm.total_mass_ += p;
+  // Every user's support has the same size: the ranks whose pmf is positive
+  // (a steep exponent underflows the tail to 0).
+  const auto per_user = static_cast<std::size_t>(
+      std::count_if(zipf.probabilities().begin(), zipf.probabilities().end(),
+                    [](double p) { return p > 0.0; }));
+  const std::size_t slots = num_users * per_user;
+  rm.offsets_.assign(num_users + 1, 0);
+  rm.models_.reserve(slots);
+  rm.probability_.reserve(slots);
+  rm.deadline_.reserve(slots);
+  rm.inference_.reserve(slots);
 
-  rm.requested_offsets_.assign(num_users + 1, 0);
-  rm.requested_flat_.reserve(num_users * interest);
+  const std::vector<std::size_t> global_order = rng.permutation(num_models);
+  std::vector<std::size_t> user_order;
+  std::vector<double> row(num_models, 0.0);  // user k's p_{k,i} by model
   for (UserId k = 0; k < num_users; ++k) {
+    const std::vector<std::size_t>& order =
+        config.per_user_popularity ? (user_order = rng.permutation(num_models))
+                                   : global_order;
+    for (std::size_t rank = 0; rank < interest; ++rank) row[order[rank]] = zipf.pmf(rank);
     for (ModelId i = 0; i < num_models; ++i) {
-      if (rm.probability_[rm.at(k, i)] > 0.0) rm.requested_flat_.push_back(i);
+      const double p = row[i];
+      if (p <= 0.0) {
+        // The QoS of a p = 0 pair is never read: skip its deadline and
+        // inference draws. uniform() takes exactly one engine call per draw
+        // (generate_canonical<double, 53> on a 64-bit engine), so every
+        // later draw is unchanged.
+        rng.engine().discard(2);
+        continue;
+      }
+      rm.models_.push_back(i);
+      rm.probability_.push_back(p);
+      rm.deadline_.push_back(rng.uniform(config.deadline_min_s, config.deadline_max_s));
+      rm.inference_.push_back(rng.uniform(config.inference_min_s, config.inference_max_s));
+      // (k, ascending i) order: the dense sum's order without its +0.0 terms.
+      rm.total_mass_ += p;
     }
-    rm.requested_offsets_[k + 1] = rm.requested_flat_.size();
+    for (std::size_t rank = 0; rank < interest; ++rank) row[order[rank]] = 0.0;
+    rm.offsets_[k + 1] = rm.models_.size();
   }
   return rm;
 }
 
-std::span<const ModelId> RequestModel::requested_models(UserId k) const {
-  if (k >= num_users_) throw std::out_of_range("RequestModel::requested_models");
-  return {requested_flat_.data() + requested_offsets_[k],
-          requested_offsets_[k + 1] - requested_offsets_[k]};
+std::pair<std::size_t, std::size_t> RequestModel::slots_of(UserId k) const {
+  if (k >= num_users_) {
+    throw std::out_of_range("RequestModel: user " + std::to_string(k) + " out of range");
+  }
+  return {offsets_[k], offsets_[k + 1]};
 }
 
-double RequestModel::probability(UserId k, ModelId i) const { return probability_[at(k, i)]; }
+std::size_t RequestModel::slot(UserId k, ModelId i) const {
+  const std::span<const ModelId> models = requested_models(k);
+  if (i >= num_models_) {
+    throw std::out_of_range("RequestModel: model " + std::to_string(i) + " out of range");
+  }
+  const auto it = std::lower_bound(models.begin(), models.end(), i);
+  if (it == models.end() || *it != i) return kOffSupport;
+  return static_cast<std::size_t>(it - models.begin());
+}
 
-double RequestModel::deadline_s(UserId k, ModelId i) const { return deadline_[at(k, i)]; }
+std::size_t RequestModel::support_slot(UserId k, ModelId i, const char* accessor) const {
+  const std::size_t s = slot(k, i);
+  if (s == kOffSupport) {
+    throw std::out_of_range(std::string("RequestModel::") + accessor + ": (user " +
+                            std::to_string(k) + ", model " + std::to_string(i) +
+                            ") has p = 0, so it has no QoS");
+  }
+  return offsets_[k] + s;
+}
 
-double RequestModel::inference_s(UserId k, ModelId i) const { return inference_[at(k, i)]; }
+std::span<const ModelId> RequestModel::requested_models(UserId k) const {
+  const auto [first, last] = slots_of(k);
+  return {models_.data() + first, last - first};
+}
 
-double RequestModel::compute_cost(UserId k, ModelId i) const { return cost_[at(k, i)]; }
+RequestModel::Support RequestModel::support_of(UserId k) const {
+  const auto [first, last] = slots_of(k);
+  const std::size_t n = last - first;
+  return {{models_.data() + first, n},
+          {probability_.data() + first, n},
+          {deadline_.data() + first, n},
+          {inference_.data() + first, n}};
+}
+
+double RequestModel::probability(UserId k, ModelId i) const {
+  const std::size_t s = slot(k, i);
+  return s == kOffSupport ? 0.0 : probability_[offsets_[k] + s];
+}
+
+double RequestModel::deadline_s(UserId k, ModelId i) const {
+  return deadline_[support_slot(k, i, "deadline_s")];
+}
+
+double RequestModel::inference_s(UserId k, ModelId i) const {
+  return inference_[support_slot(k, i, "inference_s")];
+}
+
+double RequestModel::compute_cost(UserId k, ModelId i) const {
+  return infer_cost_scale_ * inference_[support_slot(k, i, "compute_cost")];
+}
+
+std::size_t RequestModel::memory_bytes() const noexcept {
+  return offsets_.capacity() * sizeof(std::size_t) + models_.capacity() * sizeof(ModelId) +
+         (probability_.capacity() + deadline_.capacity() + inference_.capacity()) *
+             sizeof(double);
+}
 
 }  // namespace trimcaching::workload

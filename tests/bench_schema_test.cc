@@ -207,6 +207,9 @@ TEST(BenchJsonSchema, CommittedScaleBaselineMatchesTheLock) {
       if (variant != "tiled_repaired") {
         EXPECT_GT(metric(record, "peak_rss_mb"), 0.0) << name << " has no sampled RSS";
       }
+      if (variant == "untiled_serial") {
+        EXPECT_GT(metric(record, "request_model_mb"), 0.0) << name;
+      }
     }
   }
   const auto at = [&](const std::string& name, const std::string& key) {
@@ -218,9 +221,11 @@ TEST(BenchJsonSchema, CommittedScaleBaselineMatchesTheLock) {
   EXPECT_LT(at("tiled_repaired", "duplication_factor"), 1.5);
   // The memory story of tiling: at the 100x point the serial tiled solve
   // peaks below the untiled one. With factored hit lists the margin is a
-  // few MB of per-problem solver state; both peaks sit on the scenario's
-  // ~64 MB of dense request arrays.
+  // few MB of per-problem solver state.
   EXPECT_LT(at("tiled_serial", "peak_rss_mb"), at("untiled_serial", "peak_rss_mb"));
+  // The sparse request model: 2000 users x 30 requested models hold about
+  // 1.6 MB, where dense K x I arrays took about 61 MB.
+  EXPECT_LT(at("untiled_serial", "request_model_mb"), 2.0);
 }
 
 TEST(BenchJsonSchema, CommittedServingBaselineMatchesTheLock) {

@@ -445,8 +445,9 @@ support::Summary oracle_fading_hit_ratio(const Scenario& scenario,
       }
       for (ModelId i = 0; i < requests.num_models(); ++i) {
         const double p = requests.probability(k, i);
+        if (p <= 0.0) continue;  // a p = 0 pair has no QoS
         const double budget = requests.deadline_s(k, i) - requests.inference_s(k, i);
-        if (p <= 0.0 || budget <= 0.0) continue;
+        if (budget <= 0.0) continue;
         const double payload = support::bits(scenario.library.model_size(i));
         bool hit = false;
         std::size_t covering_holders = 0;

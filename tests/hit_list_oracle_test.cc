@@ -223,6 +223,38 @@ sim::Scenario edge_case_scenario(double backhaul_bps, Rng& rng) {
   return sim::Scenario{std::move(topology), std::move(library), std::move(request_model)};
 }
 
+TEST(HitListOracle, OffSupportPairsAreNeverEligible) {
+  // A p = 0 pair has no QoS in the request model; eligible() must answer
+  // false for it without reading any, under every server, and keep its
+  // latency test for the pairs on the support.
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    SCOPED_TRACE(seed);
+    sim::ScenarioConfig config = small_config(seed);
+    config.radio.backhaul_bps = 10e9;
+    Rng rng(seed);
+    const sim::Scenario scenario = sim::build_scenario(config, rng);
+    const core::PlacementProblem problem = scenario.problem();
+    std::size_t off_support = 0;
+    std::size_t eligible_on_support = 0;
+    for (ServerId m = 0; m < problem.num_servers(); ++m) {
+      for (UserId k = 0; k < problem.num_users(); ++k) {
+        for (ModelId i = 0; i < problem.num_models(); ++i) {
+          if (problem.request_probability(k, i) > 0.0) {
+            eligible_on_support += problem.eligible(m, k, i);
+            continue;
+          }
+          ++off_support;
+          bool eligible = true;
+          EXPECT_NO_THROW(eligible = problem.eligible(m, k, i));
+          EXPECT_FALSE(eligible) << "m " << m << " k " << k << " i " << i;
+        }
+      }
+    }
+    EXPECT_EQ(off_support, problem.num_servers() * problem.num_users() * (24 - 8));
+    EXPECT_GT(eligible_on_support, 0u);
+  }
+}
+
 TEST(HitListOracle, HandBuiltEdgeCases) {
   Exercised seen;
   for (const double backhaul : {10e9, 2e6}) {

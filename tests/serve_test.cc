@@ -517,6 +517,46 @@ TEST(ServeConfigValidate, RejectsNonFiniteAndNonPositiveKnobs) {
   EXPECT_NO_THROW(serve::ServeConfig{}.validate());
 }
 
+TEST(ServeDrift, RejectsUsersThatRequestPartOfTheLibrary) {
+  // Drift may draw any model for any user, but the request model keeps QoS
+  // only for each user's p > 0 support: a partial support is refused up
+  // front, naming the knob that made it partial.
+  sim::ScenarioConfig config;
+  config.num_servers = 3;
+  config.num_users = 6;
+  config.library_size = 12;
+  config.special.models_per_family = 4;
+  for (const std::size_t interest : {std::size_t{5}, std::size_t{0}}) {
+    config.requests.models_per_user = interest;
+    Rng rng(3);
+    const auto scenario = sim::build_scenario(config, rng);
+    const core::PlacementSolution placement(scenario.topology.num_servers(),
+                                            scenario.library.num_models());
+    const workload::DriftingZipf drift(
+        workload::DriftingZipf::popularity_order(scenario.requests), 50.0,
+        workload::DriftingZipfConfig{}, Rng(5));
+    serve::ServeConfig serving;
+    serving.duration_s = 50.0;
+    serving.drift = &drift;
+    const auto replay = [&] {
+      return serve::simulate_serving(scenario.topology, scenario.library,
+                                     scenario.requests, placement, serving, Rng(7));
+    };
+    if (interest == 0) {
+      EXPECT_NO_THROW((void)replay());
+      continue;
+    }
+    try {
+      (void)replay();
+      ADD_FAILURE() << "a drift replay over a partial support ran";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("drift"), std::string::npos) << what;
+      EXPECT_NE(what.find("models_per_user"), std::string::npos) << what;
+    }
+  }
+}
+
 // ----------------------------------------------------------- policy factory
 
 TEST(CachePolicyFactory, KnownPoliciesConstructAndReportNames) {
