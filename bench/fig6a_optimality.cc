@@ -9,7 +9,6 @@
 // We additionally report our branch-and-bound exact solver, which prunes
 // most of the exhaustive tree (an engineering extension over the paper).
 // The library is reduced to I = 12 so the exhaustive space stays enumerable.
-#include <chrono>
 #include <cmath>
 #include <iostream>
 
@@ -17,6 +16,7 @@
 #include "src/sim/experiment.h"
 #include "src/sim/monte_carlo.h"
 #include "src/support/table.h"
+#include "src/support/timing.h"
 
 namespace {
 
@@ -42,12 +42,11 @@ double projected_naive_seconds(const trimcaching::sim::ScenarioConfig& config,
     for (ModelId i = 0; i < problem.num_models(); i += 2) placement.place(m, i);
   }
   const int reps = 2000;
-  const auto start = std::chrono::steady_clock::now();
+  const auto start = support::WallClock::now();
   double sink = 0;
   for (int r = 0; r < reps; ++r) sink += core::expected_hit_ratio(problem, placement);
-  const auto stop = std::chrono::steady_clock::now();
+  const double per_eval = support::seconds_since(start) / reps;
   (void)sink;
-  const double per_eval = std::chrono::duration<double>(stop - start).count() / reps;
   return std::pow(2.0, static_cast<double>(vars)) * per_eval;
 }
 

@@ -8,7 +8,7 @@
 // comparison is timed once serially (threads=1) and once at the requested
 // thread count, and both measurements — plus the speedup — land in
 // BENCH_runtime.json for the perf trajectory.
-#include <chrono>
+#include <functional>
 #include <iostream>
 
 #include "bench/bench_json.h"
@@ -16,14 +16,14 @@
 #include "src/sim/experiment.h"
 #include "src/sim/monte_carlo.h"
 #include "src/support/table.h"
+#include "src/support/timing.h"
 
 namespace {
 
 double timed_seconds(const std::function<void()>& fn) {
-  const auto start = std::chrono::steady_clock::now();
+  const auto start = trimcaching::support::WallClock::now();
   fn();
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-      .count();
+  return trimcaching::support::seconds_since(start);
 }
 
 }  // namespace

@@ -45,7 +45,6 @@
 //   ./fig8_scale scale=2x,10x,100x reps=3   # CI
 //   ./fig8_scale scale=300x,1000x reps=1    # past 100x
 #include <algorithm>
-#include <chrono>
 #include <iostream>
 #include <sstream>
 #include <vector>
@@ -59,15 +58,13 @@
 #include "src/support/options.h"
 #include "src/support/resource.h"
 #include "src/support/table.h"
+#include "src/support/timing.h"
 
 namespace {
 
 using namespace trimcaching;
-using Clock = std::chrono::steady_clock;
-
-double seconds_since(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
+using Clock = support::WallClock;
+using support::seconds_since;
 
 struct ScalePoint {
   std::string name;

@@ -34,7 +34,6 @@
 //   ./fig9_serving              # full sweep, threads = hardware
 //   ./fig9_serving threads=4
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <iostream>
 #include <sstream>
@@ -48,16 +47,14 @@
 #include "src/sim/scenario.h"
 #include "src/support/options.h"
 #include "src/support/table.h"
+#include "src/support/timing.h"
 #include "src/workload/drifting_zipf.h"
 
 namespace {
 
 using namespace trimcaching;
-using Clock = std::chrono::steady_clock;
-
-double seconds_since(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
+using Clock = support::WallClock;
+using support::seconds_since;
 
 /// Minimum per-window deadline-hit ratio of a time-sliced replay — the
 /// depth of the worst degradation trough the outage storm carves.

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -25,271 +26,192 @@ struct Candidate {
   double utility = 0.0;
   Bytes specific_size = 0;       ///< D_N(i) (Eq. 13): size outside shared blocks
   std::uint64_t rounded = 0;     ///< u̇ (profit mode)
-  std::size_t quantized = 0;     ///< quantized specific size (weight mode)
+  std::size_t quantized = 0;     ///< quantized specific size (weight, joint)
   std::size_t compute_q = 0;     ///< quantized compute load (joint mode)
 };
 
 // ---------------------------------------------------------------------------
-// Inner 0/1 knapsacks with traceback (used to reconstruct the winning leaf).
-// ---------------------------------------------------------------------------
-
-struct KnapsackPick {
-  std::vector<std::size_t> chosen;  ///< indices into the item vector
-  double utility_sum = 0.0;
-};
-
-/// Profit-indexed min-weight DP (the paper's Eq. 16) with traceback.
-KnapsackPick knapsack_profit(const std::vector<Candidate>& items, Bytes budget) {
-  std::uint64_t max_profit = 0;
-  for (const auto& it : items) max_profit += it.rounded;
-  std::vector<Bytes> weight(max_profit + 1, kInfWeight);
-  weight[0] = 0;
-  std::vector<std::vector<char>> keep(items.size(),
-                                      std::vector<char>(max_profit + 1, 0));
-  std::uint64_t reach = 0;
-  for (std::size_t e = 0; e < items.size(); ++e) {
-    const auto& it = items[e];
-    reach += it.rounded;
-    if (it.rounded == 0) continue;
-    for (std::uint64_t w = reach; w >= it.rounded; --w) {
-      const Bytes base = weight[w - it.rounded];
-      if (base == kInfWeight) continue;
-      const Bytes candidate_weight = base + it.specific_size;
-      if (candidate_weight < weight[w]) {
-        weight[w] = candidate_weight;
-        keep[e][w] = 1;
-      }
-      if (w == it.rounded) break;  // unsigned loop guard
-    }
-  }
-  std::uint64_t best = 0;
-  for (std::uint64_t w = max_profit;; --w) {
-    if (weight[w] <= budget) {
-      best = w;
-      break;
-    }
-    if (w == 0) break;
-  }
-  KnapsackPick pick;
-  std::uint64_t w = best;
-  for (std::size_t e = items.size(); e-- > 0;) {
-    if (w >= items[e].rounded && items[e].rounded > 0 && keep[e][w]) {
-      pick.chosen.push_back(e);
-      pick.utility_sum += items[e].utility;
-      w -= items[e].rounded;
-    }
-  }
-  std::reverse(pick.chosen.begin(), pick.chosen.end());
-  return pick;
-}
-
-/// Weight-indexed max-profit DP with traceback.
-KnapsackPick knapsack_weight(const std::vector<Candidate>& items,
-                             std::size_t budget_states) {
-  std::vector<double> value(budget_states + 1, 0.0);
-  std::vector<std::vector<char>> keep(items.size(),
-                                      std::vector<char>(budget_states + 1, 0));
-  for (std::size_t e = 0; e < items.size(); ++e) {
-    const std::size_t wq = items[e].quantized;
-    if (wq > budget_states) continue;
-    for (std::size_t w = budget_states; w >= wq; --w) {
-      const double candidate_value = value[w - wq] + items[e].utility;
-      if (candidate_value > value[w]) {
-        value[w] = candidate_value;
-        keep[e][w] = 1;
-      }
-      if (w == wq) break;
-    }
-  }
-  KnapsackPick pick;
-  std::size_t w = budget_states;
-  for (std::size_t e = items.size(); e-- > 0;) {
-    if (keep[e][w]) {
-      pick.chosen.push_back(e);
-      pick.utility_sum += items[e].utility;
-      w -= items[e].quantized;
-    }
-  }
-  std::reverse(pick.chosen.begin(), pick.chosen.end());
-  return pick;
-}
-
-/// Joint (storage x compute) weight-indexed max-profit DP with traceback.
-/// Cell (s, c) holds the best utility over selections with quantized storage
-/// <= s and quantized compute <= c; the traceback starts from the full
-/// budgets. Ceil quantization on both axes keeps every pick feasible.
-KnapsackPick knapsack_joint(const std::vector<Candidate>& items,
-                            std::size_t storage_states,
-                            std::size_t compute_states) {
-  const std::size_t stride = compute_states + 1;
-  const std::size_t cells = (storage_states + 1) * stride;
-  std::vector<double> value(cells, 0.0);
-  std::vector<std::vector<char>> keep(items.size(), std::vector<char>(cells, 0));
-  for (std::size_t e = 0; e < items.size(); ++e) {
-    const std::size_t wq = items[e].quantized;
-    const std::size_t cq = items[e].compute_q;
-    if (wq > storage_states || cq > compute_states) continue;
-    for (std::size_t s = storage_states; s >= wq; --s) {
-      for (std::size_t c = compute_states; c >= cq; --c) {
-        const double candidate_value =
-            value[(s - wq) * stride + (c - cq)] + items[e].utility;
-        if (candidate_value > value[s * stride + c]) {
-          value[s * stride + c] = candidate_value;
-          keep[e][s * stride + c] = 1;
-        }
-        if (c == cq) break;
-      }
-      if (s == wq) break;
-    }
-  }
-  KnapsackPick pick;
-  std::size_t s = storage_states;
-  std::size_t c = compute_states;
-  for (std::size_t e = items.size(); e-- > 0;) {
-    if (keep[e][s * stride + c]) {
-      pick.chosen.push_back(e);
-      pick.utility_sum += items[e].utility;
-      s -= items[e].quantized;
-      c -= items[e].compute_q;
-    }
-  }
-  std::reverse(pick.chosen.begin(), pick.chosen.end());
-  return pick;
-}
-
-// ---------------------------------------------------------------------------
-// Incremental (no-traceback) DP state used during combination traversal.
+// The three inner 0/1 knapsacks. Each DP kind has one table (`cells`) and one
+// fill (`add`), shared by the combination traversal and the traceback:
+//  * add(item, improved) folds one item in; when `improved` is given it is
+//    sized to the table and flags every cell the item strictly improved;
+//  * score(budget) is a leaf's value, comparable across leaves;
+//  * best_cell(budget) is the cell the traceback starts from;
+//  * step(item) is the offset from an item's cell back to the cell it was
+//    built from.
 // ---------------------------------------------------------------------------
 
 /// Minimum number of DP states before an add() shards the state axis over
 /// the thread pool; below this the snapshot copy costs more than it saves.
 constexpr std::uint64_t kParallelFillStates = 1u << 16;
 
-/// Profit-indexed: state[w] = min weight to reach rounded profit exactly w.
-struct ProfitDp {
-  std::vector<Bytes> weight{0};  // weight[0] = 0
-  std::uint64_t reach = 0;
+/// Sets cells [lo, hi) of `out` to `relax(base[w - step], out[w])`. In place
+/// (base == out) the loop descends so each cell reads pre-update values; from
+/// a snapshot it ascends, which vectorizes better. `improved`, the
+/// traceback's record, flags each cell this strictly changes; without it the
+/// loops stay branch-free. Arguments are by value so the stores into `out`
+/// cannot alias the loop's inputs.
+template <typename T, typename Relax>
+void relax_cells(T* out, const T* base, std::size_t step, std::size_t lo,
+                 std::size_t hi, char* improved, Relax relax) {
+  if (improved != nullptr) {
+    for (std::size_t w = hi; w-- > lo;) {
+      const T next = relax(base[w - step], out[w]);
+      improved[w] = next != out[w] ? 1 : 0;
+      out[w] = next;
+    }
+  } else if (base == out) {
+    for (std::size_t w = hi; w-- > lo;) out[w] = relax(base[w - step], out[w]);
+  } else {
+    for (std::size_t w = lo; w < hi; ++w) out[w] = relax(base[w - step], out[w]);
+  }
+}
 
-  void add(const Candidate& it, std::size_t max_profit_states,
-           std::size_t threads = 1) {
+/// Sizes the traceback's record of one add() to the table; null when the
+/// caller keeps no record.
+char* start_record(std::vector<char>* improved, std::size_t cells) {
+  if (improved == nullptr) return nullptr;
+  improved->assign(cells, 0);
+  return improved->data();
+}
+
+/// The 1D fill shared by the profit and weight tables: relaxes every cell
+/// w >= step from cell w - step, in place. Large tables shard the cells over
+/// the thread pool against a snapshot of the previous row instead, which
+/// makes every cell independent and the result bit-identical at any shard
+/// count.
+template <typename T, typename Relax>
+void fill_row(std::vector<T>& cells, std::size_t step, std::size_t threads,
+              std::vector<char>* improved, Relax relax) {
+  char* const mark = start_record(improved, cells.size());
+  T* const out = cells.data();
+  const std::size_t span = cells.size() - step;
+  if (threads != 1 && span >= kParallelFillStates &&
+      !support::inside_parallel_region()) {
+    const std::vector<T> prev = cells;
+    const std::size_t shards = support::resolve_threads(threads);
+    support::parallel_for(shards, shards, [&](std::size_t s) {
+      relax_cells(out, prev.data(), step, step + span * s / shards,
+                  step + span * (s + 1) / shards, mark, relax);
+    });
+    return;
+  }
+  relax_cells(out, out, step, step, cells.size(), mark, relax);
+}
+
+/// Profit-indexed (the paper's Eq. 16): cells[w] = min weight reaching
+/// rounded profit exactly w. The table grows with the reachable profit.
+struct ProfitDp {
+  std::vector<Bytes> cells{0};  // cells[0] = 0
+  std::size_t threads = 1;
+
+  void add(const Candidate& it, std::vector<char>* improved = nullptr) {
     if (it.rounded == 0) return;
-    reach += it.rounded;
-    if (reach + 1 > max_profit_states) {
-      throw std::runtime_error("ProfitDp: profit state space exceeds configured limit");
-    }
-    weight.resize(reach + 1, kInfWeight);
-    const std::uint64_t span = reach - it.rounded + 1;
-    if (threads != 1 && span >= kParallelFillStates &&
-        !support::inside_parallel_region()) {
-      // Sharded fill against a snapshot of the previous row: the serial
-      // descending loop also reads only pre-update values, so each state is
-      // independent and the integer min is bit-identical at any shard count.
-      const std::vector<Bytes> prev = weight;
-      const std::size_t shards = support::resolve_threads(threads);
-      support::parallel_for(shards, shards, [&](std::size_t s) {
-        const std::uint64_t lo = it.rounded + span * s / shards;
-        const std::uint64_t hi = it.rounded + span * (s + 1) / shards;
-        for (std::uint64_t w = lo; w < hi; ++w) {
-          const Bytes base = prev[w - it.rounded];
-          if (base != kInfWeight) {
-            weight[w] = std::min(prev[w], base + it.specific_size);
-          }
-        }
-      });
-      return;
-    }
-    for (std::uint64_t w = reach; w >= it.rounded; --w) {
-      const Bytes base = weight[w - it.rounded];
-      if (base != kInfWeight) {
-        weight[w] = std::min(weight[w], base + it.specific_size);
-      }
-      if (w == it.rounded) break;
-    }
+    cells.resize(cells.size() + it.rounded, kInfWeight);
+    fill_row(cells, it.rounded, threads, improved,
+             [size = it.specific_size](Bytes base, Bytes cell) {
+               return base == kInfWeight ? cell : std::min(cell, base + size);
+             });
   }
 
   /// Largest rounded profit achievable within `budget`.
-  [[nodiscard]] std::uint64_t query(Bytes budget) const {
-    for (std::uint64_t w = reach;; --w) {
-      if (weight[w] <= budget) return w;
-      if (w == 0) return 0;
+  [[nodiscard]] std::size_t best_cell(Bytes budget) const {
+    for (std::size_t w = cells.size() - 1;; --w) {
+      if (cells[w] <= budget || w == 0) return w;
     }
   }
+  [[nodiscard]] double score(Bytes budget) const {
+    return static_cast<double>(best_cell(budget));
+  }
+  [[nodiscard]] static std::size_t step(const Candidate& it) { return it.rounded; }
 };
 
-/// Weight-indexed: state[w] = max utility with quantized weight ≤ w.
+/// Weight-indexed: cells[w] = max utility with quantized weight <= w. Cells
+/// at or below a budget never read the cells above it, so one table sized to
+/// the full capacity serves every leaf's budget.
 struct WeightDp {
-  std::vector<double> value;
+  std::vector<double> cells;
+  Bytes quantum = 1;
+  std::size_t threads = 1;
 
-  explicit WeightDp(std::size_t states) : value(states + 1, 0.0) {}
-
-  void add(const Candidate& it, std::size_t threads = 1) {
-    const std::size_t wq = it.quantized;
-    if (wq >= value.size()) return;  // never fits
-    const std::size_t span = value.size() - wq;
-    if (threads != 1 && span >= kParallelFillStates &&
-        !support::inside_parallel_region()) {
-      // Same snapshot sharding as ProfitDp: per-state max over pre-update
-      // values only, so any shard count produces identical bits.
-      const std::vector<double> prev = value;
-      const std::size_t shards = support::resolve_threads(threads);
-      support::parallel_for(shards, shards, [&](std::size_t s) {
-        const std::size_t lo = wq + span * s / shards;
-        const std::size_t hi = wq + span * (s + 1) / shards;
-        for (std::size_t w = lo; w < hi; ++w) {
-          value[w] = std::max(prev[w], prev[w - wq] + it.utility);
-        }
-      });
-      return;
-    }
-    for (std::size_t w = value.size() - 1; w >= wq; --w) {
-      value[w] = std::max(value[w], value[w - wq] + it.utility);
-      if (w == wq) break;
-    }
+  void add(const Candidate& it, std::vector<char>* improved = nullptr) {
+    if (it.quantized >= cells.size()) return;  // never fits
+    fill_row(cells, it.quantized, threads, improved,
+             [u = it.utility](double base, double cell) {
+               return std::max(cell, base + u);
+             });
   }
 
-  [[nodiscard]] double query(std::size_t budget_state) const {
-    return value[std::min(budget_state, value.size() - 1)];
+  [[nodiscard]] std::size_t best_cell(Bytes budget) const {
+    return std::min<std::size_t>(budget / quantum, cells.size() - 1);
   }
+  [[nodiscard]] double score(Bytes budget) const { return cells[best_cell(budget)]; }
+  [[nodiscard]] static std::size_t step(const Candidate& it) { return it.quantized; }
 };
 
-/// Joint (storage x compute) incremental DP: the traversal's storage budget
-/// varies with the shared-combination size, the compute budget is the whole
-/// server budget at every leaf, so query() reads the last compute column.
-/// Serial fill only — the 2D add is already O(S·C) per item and the joint
-/// path runs at test scales.
+/// Joint (storage x compute): cell (s, c) holds the best utility over
+/// selections with quantized storage <= s and quantized compute <= c. The
+/// storage budget varies with the leaf's shared size, the compute budget is
+/// the whole server budget at every leaf, so a leaf reads the last compute
+/// column. Ceil quantization on both axes keeps every pick feasible. Serial
+/// fill only: the joint path runs at test scales. The fill stores only the
+/// cells it improves: the 2D table outgrows the cache, where an unconditional
+/// store would write back every line it passes.
 struct JointDp {
   std::size_t storage_states;
   std::size_t compute_states;
-  std::vector<double> value;
+  Bytes quantum;
+  std::vector<double> cells;  // (storage_states + 1) x (compute_states + 1)
 
-  JointDp(std::size_t s_states, std::size_t c_states)
-      : storage_states(s_states),
-        compute_states(c_states),
-        value((s_states + 1) * (c_states + 1), 0.0) {}
-
-  void add(const Candidate& it) {
+  void add(const Candidate& it, std::vector<char>* improved = nullptr) {
     const std::size_t wq = it.quantized;
     const std::size_t cq = it.compute_q;
     if (wq > storage_states || cq > compute_states) return;  // never fits
+    char* const mark = start_record(improved, cells.size());
     const std::size_t stride = compute_states + 1;
-    for (std::size_t s = storage_states; s >= wq; --s) {
-      for (std::size_t c = compute_states; c >= cq; --c) {
-        const double candidate_value =
-            value[(s - wq) * stride + (c - cq)] + it.utility;
-        if (candidate_value > value[s * stride + c]) {
-          value[s * stride + c] = candidate_value;
+    const double u = it.utility;
+    const std::size_t back = step(it);
+    double* const out = cells.data();
+    // Descending: each cell's base, up and left of it, is still pre-update.
+    for (std::size_t s = storage_states + 1; s-- > wq;) {
+      for (std::size_t x = s * stride + stride; x-- > s * stride + cq;) {
+        if (out[x - back] + u > out[x]) {
+          out[x] = out[x - back] + u;
+          if (mark != nullptr) mark[x] = 1;
         }
-        if (c == cq) break;
       }
-      if (s == wq) break;
     }
   }
 
-  [[nodiscard]] double query(std::size_t storage_budget_state) const {
-    const std::size_t s = std::min(storage_budget_state, storage_states);
-    return value[s * (compute_states + 1) + compute_states];
+  [[nodiscard]] std::size_t best_cell(Bytes budget) const {
+    const std::size_t s = std::min<std::size_t>(budget / quantum, storage_states);
+    return s * (compute_states + 1) + compute_states;
+  }
+  [[nodiscard]] double score(Bytes budget) const { return cells[best_cell(budget)]; }
+  [[nodiscard]] std::size_t step(const Candidate& it) const {
+    return it.quantized * (compute_states + 1) + it.compute_q;
   }
 };
+
+/// Replays the traversal's fill over `items` from `dp` (an empty table) and
+/// walks back from best_cell(budget): an item is chosen iff it strictly
+/// improved the current cell, which then steps back to the cell it was built
+/// from. Utilities are summed last item first.
+template <typename Dp>
+void traceback(Dp dp, const std::vector<Candidate>& items, Bytes budget,
+               ServerSubproblemResult& result) {
+  std::vector<std::vector<char>> improved(items.size());
+  for (std::size_t e = 0; e < items.size(); ++e) dp.add(items[e], &improved[e]);
+  std::size_t cell = dp.best_cell(budget);
+  for (std::size_t e = items.size(); e-- > 0;) {
+    if (cell < improved[e].size() && improved[e][cell] != 0) {
+      result.models.push_back(items[e].id);
+      result.value += items[e].utility;
+      cell -= dp.step(items[e]);
+    }
+  }
+  std::sort(result.models.begin(), result.models.end());
+}
 
 // ---------------------------------------------------------------------------
 // Sharing-group decomposition of the candidate set.
@@ -440,7 +362,8 @@ Decomposition decompose(const ModelLibrary& library,
 }
 
 // ---------------------------------------------------------------------------
-// Chain traversal with incremental DP.
+// Combination search: chain traversal with incremental DP, or the closure
+// fallback; then the traceback of the winning leaf.
 // ---------------------------------------------------------------------------
 
 struct BestLeaf {
@@ -450,14 +373,13 @@ struct BestLeaf {
   Bytes shared_size = 0;
 };
 
-template <typename Dp, typename AddFn, typename QueryFn>
-void traverse(const std::vector<Chain>& chains, std::size_t f, const Dp& dp,
-              Bytes used_shared, Bytes capacity, std::vector<std::size_t>& levels,
-              std::size_t& visited, BestLeaf& best, const AddFn& add,
-              const QueryFn& query) {
+template <typename Dp>
+void traverse(const std::vector<Chain>& chains, const std::vector<Candidate>& cands,
+              std::size_t f, const Dp& dp, Bytes used_shared, Bytes capacity,
+              std::vector<std::size_t>& levels, std::size_t& visited, BestLeaf& best) {
   if (f == chains.size()) {
     ++visited;
-    const double score = query(dp, capacity - used_shared);
+    const double score = dp.score(capacity - used_shared);
     if (!best.valid || score > best.score) {
       best.valid = true;
       best.score = score;
@@ -468,16 +390,77 @@ void traverse(const std::vector<Chain>& chains, std::size_t f, const Dp& dp,
   }
   const Chain& chain = chains[f];
   levels[f] = 0;
-  traverse(chains, f + 1, dp, used_shared, capacity, levels, visited, best, add, query);
+  traverse(chains, cands, f + 1, dp, used_shared, capacity, levels, visited, best);
   Dp local = dp;
   for (std::size_t t = 1; t < chain.cum_size.size(); ++t) {
     if (used_shared + chain.cum_size[t] > capacity) break;  // cum sizes increase
-    for (const std::size_t c : chain.at_level[t]) add(local, c);
+    for (const std::size_t c : chain.at_level[t]) local.add(cands[c]);
     levels[f] = t;
-    traverse(chains, f + 1, local, used_shared + chain.cum_size[t], capacity, levels,
-             visited, best, add, query);
+    traverse(chains, cands, f + 1, local, used_shared + chain.cum_size[t], capacity,
+             levels, visited, best);
   }
   levels[f] = 0;
+}
+
+/// Finds the best shared-block combination with the DP kind `make_empty()`
+/// returns (a fresh empty table per call) and reconstructs that leaf's
+/// knapsack into `result`.
+template <typename MakeDp>
+void search(const MakeDp& make_empty, const ModelLibrary& library,
+            const std::vector<Candidate>& candidates,
+            const Decomposition& decomposition, Bytes capacity,
+            ServerSubproblemResult& result) {
+  using Dp = decltype(make_empty());
+  BestLeaf best;
+  std::size_t visited = 0;
+  std::vector<std::size_t> best_members;  // candidate indices of winning leaf
+  if (decomposition.closure.empty()) {
+    // Chain path: incremental DP along each chain.
+    result.used_chain_path = true;
+    Dp dp = make_empty();
+    for (const std::size_t c : decomposition.base) dp.add(candidates[c]);
+    std::vector<std::size_t> levels(decomposition.chains.size(), 0);
+    traverse(decomposition.chains, candidates, 0, dp, Bytes{0}, capacity, levels,
+             visited, best);
+    if (best.valid) {
+      best_members = decomposition.base;
+      for (std::size_t f = 0; f < decomposition.chains.size(); ++f) {
+        const Chain& chain = decomposition.chains[f];
+        for (std::size_t t = 1; t <= best.levels[f]; ++t) {
+          best_members.insert(best_members.end(), chain.at_level[t].begin(),
+                              chain.at_level[t].end());
+        }
+      }
+    }
+  } else {
+    // Generic fallback: per-combination knapsack from scratch.
+    for (const DynamicBitset& combo : decomposition.closure) {
+      const Bytes shared_size = library.combination_size(combo);
+      if (shared_size > capacity) continue;
+      ++visited;
+      std::vector<std::size_t> members = decomposition.base;
+      for (std::size_t c = 0; c < candidates.size(); ++c) {
+        const DynamicBitset& part = library.shared_part(candidates[c].id);
+        if (part.any() && part.is_subset_of(combo)) members.push_back(c);
+      }
+      Dp dp = make_empty();
+      for (const std::size_t c : members) dp.add(candidates[c]);
+      const double score = dp.score(capacity - shared_size);
+      if (!best.valid || score > best.score) {
+        best.valid = true;
+        best.score = score;
+        best.shared_size = shared_size;
+        best_members = std::move(members);
+      }
+    }
+  }
+
+  result.combinations_visited = visited;
+  if (!best.valid || best.score <= 0.0) return;
+  std::vector<Candidate> items;
+  items.reserve(best_members.size());
+  for (const std::size_t c : best_members) items.push_back(candidates[c]);
+  traceback(make_empty(), items, capacity - best.shared_size, result);
 }
 
 }  // namespace
@@ -494,11 +477,15 @@ ServerSubproblemResult solve_server_subproblem(const ModelLibrary& library,
   if (utilities.size() != library.num_models()) {
     throw std::invalid_argument("solve_server_subproblem: utilities size mismatch");
   }
-  if (config.epsilon < 0.0 || config.epsilon > 1.0) {
-    throw std::invalid_argument("solve_server_subproblem: epsilon must be in [0, 1]");
+  if (!(config.epsilon >= 0.0 && config.epsilon <= 1.0)) {
+    throw std::invalid_argument(
+        "solve_server_subproblem: eps must be a finite number in [0, 1], got " +
+        std::to_string(config.epsilon));
   }
-  if (config.mode == DpMode::kWeightQuantized && config.weight_states == 0) {
-    throw std::invalid_argument("solve_server_subproblem: weight_states must be > 0");
+  if (config.weight_states == 0) {
+    throw std::invalid_argument(
+        "solve_server_subproblem: states must be > 0 (the storage quantization of "
+        "mode=weight and of joint mode), got 0");
   }
   const bool joint = compute_loads != nullptr &&
                      compute_budget != std::numeric_limits<double>::infinity();
@@ -516,6 +503,7 @@ ServerSubproblemResult solve_server_subproblem(const ModelLibrary& library,
           "solve_server_subproblem: compute_budget must be >= 0");
     }
   }
+  const bool profit = !joint && config.mode == DpMode::kProfitRounding;
 
   ServerSubproblemResult result;
 
@@ -548,9 +536,22 @@ ServerSubproblemResult solve_server_subproblem(const ModelLibrary& library,
       joint && compute_budget > 0
           ? compute_budget / static_cast<double>(config.compute_states)
           : 1.0;
+  const double profit_unit = eps * min_utility;  // u̇ = floor(u / profit_unit)
+  if (profit) {
+    // Sum the rounded profits in double first: a tiny eps can push them past
+    // what the integer cast below can represent.
+    double total = 0.0;
+    for (const auto& cand : candidates) total += std::floor(cand.utility / profit_unit);
+    if (!(total + 1 <= static_cast<double>(config.max_profit_states))) {
+      throw std::runtime_error(
+          "solve_server_subproblem: profit state space exceeds max_profit_states; "
+          "increase eps, raise max_profit_states or use mode=weight");
+    }
+  }
   for (auto& cand : candidates) {
-    cand.rounded =
-        static_cast<std::uint64_t>(std::floor(cand.utility / (eps * min_utility)));
+    if (profit) {
+      cand.rounded = static_cast<std::uint64_t>(std::floor(cand.utility / profit_unit));
+    }
     cand.quantized = static_cast<std::size_t>((cand.specific_size + quantum - 1) / quantum);
     if (joint) {
       const double load = (*compute_loads)[cand.id];
@@ -571,131 +572,26 @@ ServerSubproblemResult solve_server_subproblem(const ModelLibrary& library,
       }
     }
   }
-  if (!joint && config.mode == DpMode::kProfitRounding) {
-    std::uint64_t total = 0;
-    for (const auto& cand : candidates) total += cand.rounded;
-    if (total + 1 > config.max_profit_states) {
-      throw std::runtime_error(
-          "solve_server_subproblem: profit state space exceeds max_profit_states; "
-          "increase epsilon or use kWeightQuantized");
-    }
-  }
 
-  Decomposition decomposition = decompose(library, candidates, config.max_combinations);
-
-  BestLeaf best;
-  std::size_t visited = 0;
-  std::vector<std::size_t> best_member_set;  // candidate indices of winning leaf
-
-  auto collect_members = [&](const std::vector<std::size_t>& levels) {
-    std::vector<std::size_t> members = decomposition.base;
-    for (std::size_t f = 0; f < decomposition.chains.size(); ++f) {
-      const Chain& chain = decomposition.chains[f];
-      for (std::size_t t = 1; t <= levels[f]; ++t) {
-        members.insert(members.end(), chain.at_level[t].begin(),
-                       chain.at_level[t].end());
-      }
-    }
-    return members;
+  const Decomposition decomposition =
+      decompose(library, candidates, config.max_combinations);
+  const auto search_with = [&](const auto& make_empty) {
+    search(make_empty, library, candidates, decomposition, capacity, result);
   };
-
-  if (decomposition.closure.empty()) {
-    // Chain path: incremental DP along each chain.
-    result.used_chain_path = true;
-    std::vector<std::size_t> levels(decomposition.chains.size(), 0);
-    if (joint) {
-      JointDp dp(config.weight_states, config.compute_states);
-      for (const std::size_t c : decomposition.base) dp.add(candidates[c]);
-      traverse(
-          decomposition.chains, 0, dp, Bytes{0}, capacity, levels, visited, best,
-          [&](JointDp& d, std::size_t c) { d.add(candidates[c]); },
-          [&](const JointDp& d, Bytes budget) {
-            return d.query(static_cast<std::size_t>(budget / quantum));
-          });
-    } else if (config.mode == DpMode::kProfitRounding) {
-      ProfitDp dp;
-      for (const std::size_t c : decomposition.base) {
-        dp.add(candidates[c], config.max_profit_states, config.threads);
-      }
-      traverse(
-          decomposition.chains, 0, dp, Bytes{0}, capacity, levels, visited, best,
-          [&](ProfitDp& d, std::size_t c) {
-            d.add(candidates[c], config.max_profit_states, config.threads);
-          },
-          [](const ProfitDp& d, Bytes budget) {
-            return static_cast<double>(d.query(budget));
-          });
-    } else {
-      WeightDp dp(config.weight_states);
-      for (const std::size_t c : decomposition.base) {
-        dp.add(candidates[c], config.threads);
-      }
-      traverse(
-          decomposition.chains, 0, dp, Bytes{0}, capacity, levels, visited, best,
-          [&](WeightDp& d, std::size_t c) { d.add(candidates[c], config.threads); },
-          [&](const WeightDp& d, Bytes budget) {
-            return d.query(static_cast<std::size_t>(budget / quantum));
-          });
-    }
-    if (best.valid) best_member_set = collect_members(best.levels);
+  if (joint) {
+    search_with([&] {
+      return JointDp{config.weight_states, config.compute_states, quantum,
+                     std::vector<double>((config.weight_states + 1) *
+                                         (config.compute_states + 1))};
+    });
+  } else if (profit) {
+    search_with([&] { return ProfitDp{.threads = config.threads}; });
   } else {
-    // Generic fallback: per-combination knapsack from scratch.
-    for (const DynamicBitset& combo : decomposition.closure) {
-      const Bytes shared_size = library.combination_size(combo);
-      if (shared_size > capacity) continue;
-      ++visited;
-      std::vector<std::size_t> members = decomposition.base;
-      for (std::size_t c = 0; c < candidates.size(); ++c) {
-        const DynamicBitset& part = library.shared_part(candidates[c].id);
-        if (part.any() && part.is_subset_of(combo)) members.push_back(c);
-      }
-      std::vector<Candidate> items;
-      items.reserve(members.size());
-      for (const std::size_t c : members) items.push_back(candidates[c]);
-      const Bytes budget = capacity - shared_size;
-      double score = 0.0;
-      if (joint) {
-        JointDp dp(config.weight_states, config.compute_states);
-        for (const auto& it : items) dp.add(it);
-        score = dp.query(static_cast<std::size_t>(budget / quantum));
-      } else if (config.mode == DpMode::kProfitRounding) {
-        ProfitDp dp;
-        for (const auto& it : items) {
-          dp.add(it, config.max_profit_states, config.threads);
-        }
-        score = static_cast<double>(dp.query(budget));
-      } else {
-        WeightDp dp(config.weight_states);
-        for (const auto& it : items) dp.add(it, config.threads);
-        score = dp.query(static_cast<std::size_t>(budget / quantum));
-      }
-      if (!best.valid || score > best.score) {
-        best.valid = true;
-        best.score = score;
-        best.shared_size = shared_size;
-        best_member_set = std::move(members);
-      }
-    }
+    search_with([&] {
+      return WeightDp{std::vector<double>(config.weight_states + 1), quantum,
+                      config.threads};
+    });
   }
-
-  result.combinations_visited = visited;
-  if (!best.valid || best.score <= 0.0) return result;
-
-  // Reconstruct the winning leaf's knapsack with traceback.
-  std::vector<Candidate> items;
-  items.reserve(best_member_set.size());
-  for (const std::size_t c : best_member_set) items.push_back(candidates[c]);
-  const Bytes budget = capacity - best.shared_size;
-  const KnapsackPick pick =
-      joint ? knapsack_joint(items, static_cast<std::size_t>(budget / quantum),
-                             config.compute_states)
-            : config.mode == DpMode::kProfitRounding
-                  ? knapsack_profit(items, budget)
-                  : knapsack_weight(items, static_cast<std::size_t>(budget / quantum));
-  result.value = pick.utility_sum;
-  result.models.reserve(pick.chosen.size());
-  for (const std::size_t e : pick.chosen) result.models.push_back(items[e].id);
-  std::sort(result.models.begin(), result.models.end());
   return result;
 }
 

@@ -19,6 +19,12 @@
 // traversal cost is exponential in the number of sharing groups, which is
 // the paper's special-case-vs-general-case distinction (Theorem 1 vs §VI).
 //
+// Traceback. Each DP kind keeps one table and one fill, and the traceback
+// replays the traversal's DP: the winning leaf's items go through the same
+// fill from an empty table, which records the cells each item strictly
+// improved, and a walk back from the budget's cell over those records picks
+// the models. The reconstruction thus agrees with the leaf's score exactly.
+//
 // Inner knapsack modes:
 //  * kProfitRounding — the paper's Algorithm 2: profits are rounded to
 //    integers u̇ = floor(u / (ε·u_min)) and the DP is indexed by profit with
@@ -52,10 +58,11 @@ enum class DpMode { kProfitRounding, kWeightQuantized };
 
 struct SpecSolverConfig {
   DpMode mode = DpMode::kProfitRounding;
-  /// Profit-rounding precision ε ∈ (0, 1]; the paper's "ε = 0" (exact) maps
-  /// to a fine rounding of 1e-5.
+  /// Profit-rounding precision ε, finite and in [0, 1]; the paper's "ε = 0"
+  /// (exact) maps to a fine rounding of 1e-5.
   double epsilon = 0.1;
-  /// Resolution of the weight-quantized mode.
+  /// Storage resolution (> 0) of the weight-quantized mode and of the joint
+  /// DP, which uses it in either mode.
   std::size_t weight_states = 4096;
   /// Resolution of the compute axis when a finite compute budget is given
   /// (the joint 2D DP); ignored otherwise. Kept coarse by default: the DP

@@ -10,13 +10,13 @@ void SolverContext::set_deadline_after(double seconds) {
   if (seconds < 0) {
     throw std::invalid_argument("SolverContext: negative deadline");
   }
-  deadline_ = std::chrono::steady_clock::now() +
-              std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+  deadline_ = support::WallClock::now() +
+              std::chrono::duration_cast<support::WallClock::duration>(
                   std::chrono::duration<double>(seconds));
 }
 
 bool SolverContext::expired() const {
-  return deadline_.has_value() && std::chrono::steady_clock::now() >= *deadline_;
+  return deadline_.has_value() && support::WallClock::now() >= *deadline_;
 }
 
 SolverOutcome Solver::refine(const PlacementProblem& /*problem*/,
@@ -27,10 +27,9 @@ SolverOutcome Solver::refine(const PlacementProblem& /*problem*/,
 
 SolverOutcome Solver::run(const PlacementProblem& problem,
                           SolverContext& context) const {
-  const auto start = std::chrono::steady_clock::now();
+  const auto start = support::WallClock::now();
   SolverOutcome outcome = solve(problem, context);
-  const auto stop = std::chrono::steady_clock::now();
-  outcome.wall_seconds = std::chrono::duration<double>(stop - start).count();
+  outcome.wall_seconds = support::seconds_since(start);
   if (problem.compute_constrained()) {
     // Honesty seam of the joint objective: whatever an algorithm's internal
     // (greedy-order) bookkeeping claimed, the reported score is the canonical

@@ -17,7 +17,6 @@
 //     expired), and an instrumentation sink for progress events.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -27,6 +26,7 @@
 #include "src/core/placement.h"
 #include "src/core/problem.h"
 #include "src/support/rng.h"
+#include "src/support/timing.h"
 
 namespace trimcaching::core {
 
@@ -76,7 +76,7 @@ class SolverContext {
 
  private:
   support::Rng rng_;
-  std::optional<std::chrono::steady_clock::time_point> deadline_;
+  std::optional<support::WallClock::time_point> deadline_;
 };
 
 class Solver {

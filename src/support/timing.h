@@ -1,5 +1,6 @@
-// Shared wall-clock helper for the maintenance/solve timing sprinkled
-// through sim/ — one steady_clock idiom instead of per-file copies.
+// Shared wall-clock helper for the solve, maintenance and bench timing
+// across core/, sim/ and bench/ — one steady_clock idiom instead of
+// per-file copies.
 #pragma once
 
 #include <chrono>

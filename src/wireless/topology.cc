@@ -94,7 +94,10 @@ void NetworkTopology::refresh_links() {
   std::size_t total_links = 0;
   for (std::size_t k = 0; k < k_count; ++k) total_links += covering_[k].size();
 
-  // Per-server shares hoisted out of the per-link loop (L >> M).
+  // Per-server shares and the noise PSD hoisted out of the per-link loop
+  // (L >> M). Each link's SNR is computed once and its mean rate follows
+  // from it, exactly as shannon_rate() would compute it with unit fading.
+  const double noise_psd = radio_.channel.effective_noise_psd();
   std::vector<double> server_bw(m_count);
   std::vector<double> server_pw(m_count);
   for (std::size_t m = 0; m < m_count; ++m) {
@@ -124,21 +127,15 @@ void NetworkTopology::refresh_links() {
         continue;
       }
       const double bw = server_bw[m];
-      const double pw = server_pw[m];
       const double d = distance(server_pos_[m], user_pos_[k]);
-      const double noise = radio_.channel.effective_noise_psd() * bw;
-      double snr = bw > 0 ? pw * path_gain(radio_.channel, d) / noise : 0.0;
-      double rate = shannon_rate(radio_.channel, bw, pw, d);
-      const double derate = snr_derating_.empty() ? 1.0 : snr_derating_[m];
-      if (derate < 1.0) {
-        // Degraded link: the rate recomputes from the derated SNR; the
-        // un-derated path above stays bit-identical to the maskless build.
-        snr *= derate;
-        rate = bw > 0 ? bw * std::log2(1.0 + snr) : 0.0;
-      }
+      double snr =
+          bw > 0 ? server_pw[m] * path_gain(radio_.channel, d) / (noise_psd * bw) : 0.0;
+      // A degraded link's rate follows its derated SNR; an un-derated one
+      // stays bit-identical to the maskless build.
+      if (!snr_derating_.empty() && snr_derating_[m] < 1.0) snr *= snr_derating_[m];
       link_bandwidth_hz_.push_back(bw);
       link_mean_snr_.push_back(snr);
-      link_avg_rate_.push_back(rate);
+      link_avg_rate_.push_back(bw > 0 ? bw * std::log2(1.0 + snr) : 0.0);
     }
     covering_offsets_[k + 1] = covering_flat_.size();
   }

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <numeric>
+#include <string>
 
 #include "src/core/dp_rounding.h"
 #include "src/core/storage.h"
@@ -33,6 +35,82 @@ std::vector<double> random_utilities(const model::ModelLibrary& lib, Rng& rng,
 void expect_feasible(const model::ModelLibrary& lib,
                      const ServerSubproblemResult& result, support::Bytes capacity) {
   EXPECT_LE(lib.dedup_size(result.models), capacity);
+}
+
+/// A whole-MB library whose shared parts are not nested: models 0 and 1
+/// hold the parts {s0} and {s1}, model 2 holds both and joins them into one
+/// sharing group, so neither part contains the other and the solver must
+/// take the closure fallback.
+model::ModelLibrary non_nested_library(Rng& rng, std::size_t num_models) {
+  model::ModelLibrary lib;
+  const auto block = [&](std::string name) {
+    return lib.add_block(megabytes(static_cast<double>(rng.uniform_int(1, 8))),
+                         std::move(name));
+  };
+  const BlockId s0 = block("s0");
+  const BlockId s1 = block("s1");
+  const BlockId s2 = block("s2");
+  const std::vector<std::vector<BlockId>> parts = {{s0}, {s1}, {s0, s1},
+                                                   {s1, s2}, {s2}, {}};
+  for (std::size_t i = 0; i < num_models; ++i) {
+    std::vector<BlockId> blocks = parts[i < 3 ? i : rng.index(parts.size())];
+    blocks.push_back(block("x" + std::to_string(i)));
+    lib.add_model("m" + std::to_string(i), "f", std::move(blocks));
+  }
+  lib.finalize();
+  return lib;
+}
+
+/// Loads for the joint tests: whole multiples of the compute quantum
+/// (compute_budget == compute_states, so the quantum is exactly 1), which
+/// makes the joint DP exact on both axes.
+std::vector<double> whole_loads(const model::ModelLibrary& lib, Rng& rng,
+                                std::int64_t max_load) {
+  std::vector<double> loads(lib.num_models());
+  for (auto& load : loads) load = static_cast<double>(rng.uniform_int(0, max_load));
+  return loads;
+}
+
+struct JointOptimum {
+  double value = 0.0;
+  std::vector<ModelId> models;  ///< ascending
+};
+
+/// Brute-force optimum of the joint sub-problem: max Σ u over model subsets
+/// whose dedup size fits `capacity` and whose summed loads fit `budget`.
+/// Exponential; keep |I| small.
+JointOptimum brute_force_joint(const model::ModelLibrary& lib,
+                               const std::vector<double>& utilities,
+                               support::Bytes capacity,
+                               const std::vector<double>& loads, double budget) {
+  const std::size_t n = lib.num_models();
+  JointOptimum best;
+  for (std::size_t mask = 0; mask < (std::size_t{1} << n); ++mask) {
+    JointOptimum pick;
+    double load = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (mask & (std::size_t{1} << i)) {
+        pick.models.push_back(static_cast<ModelId>(i));
+        pick.value += utilities[i];
+        load += loads[i];
+      }
+    }
+    if (pick.value <= best.value || load > budget) continue;
+    if (lib.dedup_size(pick.models) <= capacity) best = std::move(pick);
+  }
+  return best;
+}
+
+/// Joint mode on a whole-MB instance: states = capacity in MB and
+/// compute_states = budget make both quantizations exact.
+ServerSubproblemResult solve_joint(const model::ModelLibrary& lib,
+                                   const std::vector<double>& utilities,
+                                   double capacity_mb, const std::vector<double>& loads,
+                                   std::size_t budget) {
+  SpecSolverConfig config = exact_weight_config(capacity_mb);
+  config.compute_states = budget;
+  return solve_server_subproblem(lib, utilities, megabytes(capacity_mb), config, &loads,
+                                 static_cast<double>(budget));
 }
 
 // ------------------------------------------------ vs brute force (weight mode)
@@ -84,6 +162,20 @@ TEST_P(DpVsBruteForce, TinyEpsilonIsNearExact) {
   EXPECT_NEAR(result.value, optimum, 1e-4 * std::max(1.0, optimum));
 }
 
+TEST_P(DpVsBruteForce, JointModeMatchesOptimum) {
+  Rng rng(GetParam() + 3000);
+  const auto lib = testutil::random_library(rng, 10, 12);
+  const auto utilities = random_utilities(lib, rng);
+  const auto loads = whole_loads(lib, rng, 4);
+  const double capacity_mb = 30.0;
+  const std::size_t budget = 8;
+  const auto result = solve_joint(lib, utilities, capacity_mb, loads, budget);
+  const auto optimum = brute_force_joint(lib, utilities, megabytes(capacity_mb), loads,
+                                         static_cast<double>(budget));
+  EXPECT_NEAR(result.value, optimum.value, 1e-9);
+  EXPECT_EQ(result.models, optimum.models);
+}
+
 INSTANTIATE_TEST_SUITE_P(RandomInstances, DpVsBruteForce,
                          ::testing::Range<std::uint64_t>(0, 20));
 
@@ -106,9 +198,8 @@ TEST_P(DpChainPath, UsesChainTraversalOnFreezeLibraries) {
 }
 
 TEST_P(DpChainPath, ChainAndFallbackAgree) {
-  // The special-case library is chain-structured, so the generic fallback and
-  // the chain path must find the same optimum. We force the fallback by
-  // building a library whose closure equals the chain product.
+  // Both traversals meet the same brute force: the freeze library walks its
+  // chains, the non-nested one takes the closure fallback, in every DP mode.
   Rng rng(GetParam() + 500);
   model::SpecialCaseConfig config;
   config.models_per_family = 4;
@@ -116,14 +207,45 @@ TEST_P(DpChainPath, ChainAndFallbackAgree) {
   const auto lib = model::build_special_case_library(config, rng);
   std::vector<double> utilities(lib.num_models());
   for (auto& u : utilities) u = rng.uniform(0.1, 1.0);
-
-  const double capacity_mb = 120.0;
-  const auto chain = solve_server_subproblem(lib, utilities, megabytes(capacity_mb),
-                                             exact_weight_config(capacity_mb));
+  const double chain_mb = 120.0;
+  const auto chain = solve_server_subproblem(lib, utilities, megabytes(chain_mb),
+                                             exact_weight_config(chain_mb));
   ASSERT_TRUE(chain.used_chain_path);
-  const double brute =
-      testutil::brute_force_subproblem(lib, utilities, megabytes(capacity_mb));
-  EXPECT_NEAR(chain.value, brute, 1e-9);
+  EXPECT_NEAR(chain.value,
+              testutil::brute_force_subproblem(lib, utilities, megabytes(chain_mb)),
+              1e-9);
+
+  const auto fallback_lib = non_nested_library(rng, 10);
+  const auto fallback_utilities = random_utilities(fallback_lib, rng);
+  const double capacity_mb = 20.0;
+  const support::Bytes capacity = megabytes(capacity_mb);
+  const double optimum =
+      testutil::brute_force_subproblem(fallback_lib, fallback_utilities, capacity);
+
+  const auto weight = solve_server_subproblem(fallback_lib, fallback_utilities,
+                                              capacity, exact_weight_config(capacity_mb));
+  ASSERT_FALSE(weight.used_chain_path);
+  EXPECT_NEAR(weight.value, optimum, 1e-9);
+
+  SpecSolverConfig profit_config;
+  profit_config.epsilon = 0.0;  // maps to 1e-5 rounding (Proposition 4)
+  const auto profit = solve_server_subproblem(fallback_lib, fallback_utilities,
+                                              capacity, profit_config);
+  ASSERT_FALSE(profit.used_chain_path);
+  EXPECT_GE(profit.value, (1.0 - 1e-5) * optimum - 1e-12);
+  EXPECT_LE(profit.value, optimum + 1e-9);
+  expect_feasible(fallback_lib, profit, capacity);
+
+  const auto loads = whole_loads(fallback_lib, rng, 3);
+  const std::size_t budget = 6;
+  const auto joint = solve_joint(fallback_lib, fallback_utilities, capacity_mb, loads,
+                                 budget);
+  ASSERT_FALSE(joint.used_chain_path);
+  const auto joint_optimum = brute_force_joint(fallback_lib, fallback_utilities,
+                                               capacity, loads,
+                                               static_cast<double>(budget));
+  EXPECT_NEAR(joint.value, joint_optimum.value, 1e-9);
+  EXPECT_EQ(joint.models, joint_optimum.models);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DpChainPath, ::testing::Range<std::uint64_t>(0, 8));
@@ -176,6 +298,42 @@ TEST(DpRounding, InvalidInputsThrow) {
   bad.weight_states = 0;
   EXPECT_THROW((void)solve_server_subproblem(lib, ok, megabytes(10), bad),
                std::invalid_argument);
+
+  // Each bad Spec knob ends in a diagnostic that names it.
+  const auto error_with = [&](const SpecSolverConfig& config) -> std::string {
+    try {
+      (void)solve_server_subproblem(lib, ok, megabytes(10), config);
+    } catch (const std::exception& e) {
+      return e.what();
+    }
+    return "";
+  };
+  // states = 0 is rejected in every mode: the storage quantum divides by it.
+  bad = SpecSolverConfig{};
+  bad.weight_states = 0;
+  EXPECT_NE(error_with(bad).find("states must be > 0"), std::string::npos);
+  EXPECT_THROW((void)solve_server_subproblem(lib, ok, megabytes(10), bad),
+               std::invalid_argument);
+  // eps must be finite and in [0, 1].
+  for (const double eps : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(), -0.5}) {
+    bad = SpecSolverConfig{};
+    bad.epsilon = eps;
+    EXPECT_NE(error_with(bad).find("eps must be"), std::string::npos) << eps;
+    EXPECT_THROW((void)solve_server_subproblem(lib, ok, megabytes(10), bad),
+                 std::invalid_argument);
+  }
+  // A tiny eps would overflow the rounded profits' integer cast: rejected
+  // before it.
+  bad = SpecSolverConfig{};
+  bad.epsilon = 1e-300;
+  EXPECT_NE(error_with(bad).find("increase eps"), std::string::npos);
+  EXPECT_THROW((void)solve_server_subproblem(lib, ok, megabytes(10), bad),
+               std::runtime_error);
+  // Joint mode never rounds profits, so the same eps is harmless there.
+  const std::vector<double> loads(4, 0.1);
+  EXPECT_NO_THROW(
+      (void)solve_server_subproblem(lib, ok, megabytes(10), bad, &loads, 1.0));
 }
 
 TEST(DpRounding, CombinationCapThrows) {

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <utility>
 
 #include "src/core/baselines.h"
 #include "src/core/exact_solver.h"
@@ -157,6 +159,26 @@ TEST(SolverRegistry, RejectsMalformedSpecs) {
   EXPECT_THROW((void)registry.make("spec:mode=psychic"), std::invalid_argument);
   // Only refiners may appear right of '+'.
   EXPECT_THROW((void)registry.make("gen+spec"), std::invalid_argument);
+}
+
+TEST(SolverRegistry, BadSpecKnobsFailNamingTheKnob) {
+  // A bad knob must fail the run with a message naming it: not a signal
+  // (states=0 divides the storage quantum), an unrelated message (eps=nan)
+  // or an empty placement (eps=1e-300 overflows the rounded profits).
+  const auto world = testutil::random_world(5, 3, 10, 12, 14, 40.0);
+  const auto problem = world.problem();
+  SolverContext context(1);
+  for (const auto& [spec, knob] : {std::pair{"spec:mode=profit,states=0", "states"},
+                                   std::pair{"spec:eps=nan", "eps"},
+                                   std::pair{"spec:eps=1e-300", "eps"}}) {
+    try {
+      (void)SolverRegistry::instance().make(spec)->run(problem, context);
+      ADD_FAILURE() << spec << " ran without an error";
+    } catch (const std::exception& e) {
+      EXPECT_NE(std::string(e.what()).find(knob), std::string::npos)
+          << spec << ": " << e.what();
+    }
+  }
 }
 
 TEST(SolverRegistry, OptionsChangeBehavior) {
