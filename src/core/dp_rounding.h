@@ -73,12 +73,6 @@ struct SpecSolverConfig {
   std::size_t max_combinations = std::size_t{1} << 22;
   /// Abort if a profit-indexed DP would exceed this many states.
   std::size_t max_profit_states = 50'000'000;
-  /// Thread count for large DP table fills (and, via SpecConfig, for the
-  /// per-server utility accumulation): 0 = hardware concurrency, 1 = serial.
-  /// The fill shards the state axis over a snapshot of the previous row, so
-  /// results are bit-identical for every value; small tables always fill
-  /// serially (the snapshot would cost more than it saves).
-  std::size_t threads = 1;
 };
 
 struct ServerSubproblemResult {

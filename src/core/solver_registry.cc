@@ -262,7 +262,6 @@ SpecConfig spec_config_from(const support::Options& options) {
                          "max_profit_states", "order", "threads"});
   SpecConfig config;
   config.threads = options.get_size("threads", config.threads);
-  config.solver.threads = config.threads;
   const std::string mode = options.get_string("mode", "profit");
   if (mode == "profit") {
     config.solver.mode = DpMode::kProfitRounding;

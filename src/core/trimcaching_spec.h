@@ -23,11 +23,10 @@ struct SpecConfig {
   /// order; visiting servers with more reachable request mass first is an
   /// ablation (bench/ablation_greedy).
   enum class ServerOrder { kNatural, kByReachableMassDesc } order = ServerOrder::kNatural;
-  /// Thread count shared by the inner loops (per-server utility accumulation
-  /// of Eq. 14, the mass-ordering prepass, and — via `solver.threads` — large
-  /// DP fills): 0 = hardware concurrency, 1 = serial. Every index writes only
-  /// its own slot and reductions stay ordered, so results are bit-identical
-  /// for any value.
+  /// Thread count of the per-server utility accumulation (Eq. 14) and the
+  /// mass-ordering prepass; the DP fills are serial. 0 = hardware
+  /// concurrency, 1 = serial. Every index writes only its own slot and
+  /// reductions stay ordered, so results are bit-identical for any value.
   std::size_t threads = 1;
 };
 

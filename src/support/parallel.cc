@@ -85,8 +85,6 @@ std::size_t resolve_threads(std::size_t requested) noexcept {
   return requested == 0 ? hardware_threads() : requested;
 }
 
-bool inside_parallel_region() noexcept { return tl_in_region; }
-
 void parallel_for(std::size_t n, std::size_t threads,
                   const std::function<void(std::size_t)>& body) {
   threads = resolve_threads(threads);

@@ -37,10 +37,6 @@ namespace trimcaching::support {
 void parallel_for(std::size_t n, std::size_t threads,
                   const std::function<void(std::size_t)>& body);
 
-/// True while the calling thread is executing inside a parallel_for shard
-/// (used by the engine to keep nested loops serial).
-[[nodiscard]] bool inside_parallel_region() noexcept;
-
 /// Runs body(begin, end) over a static contiguous partition of [0, n) into
 /// at most `threads` chunks (sizes differ by at most one index). Unlike
 /// parallel_for's per-index dynamic sharding, the chunk boundaries depend

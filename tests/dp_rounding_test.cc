@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
 #include <limits>
 #include <numeric>
+#include <stdexcept>
 #include <string>
 
 #include "src/core/dp_rounding.h"
@@ -409,6 +412,208 @@ TEST(DpRounding, PrefersSharingWhenCapacityTight) {
                                               exact_weight_config(30));
   EXPECT_EQ(result.models, (std::vector<ModelId>{0, 1}));
 }
+
+
+// ------------------------------------------------------------- golden digests
+//
+// Pins every result field of the three DP kinds on both traversals, seed by
+// seed, to one committed 64-bit digest per mode. A change to the table fill
+// or the traceback that is meant to be bit-identical must leave these
+// constants alone; any drift in a value's bits, a chosen model, the leaf
+// count or the traversal taken changes them.
+
+/// 64-bit FNV-1a.
+class Fnv1a {
+ public:
+  void add(const void* data, std::size_t size) {
+    const auto* bytes = static_cast<const unsigned char*>(data);
+    for (std::size_t b = 0; b < size; ++b) {
+      hash_ = (hash_ ^ bytes[b]) * 0x100000001b3ULL;
+    }
+  }
+  void add(const std::string& text) { add(text.data(), text.size()); }
+  void add(std::uint64_t word) { add(&word, sizeof word); }
+  [[nodiscard]] std::uint64_t value() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+/// One sub-problem instance; the library kind rotates with the seed over the
+/// special-case chain library, a random library (1-4 blocks per model, the
+/// closure fallback or small chains) and the non-nested closure library.
+struct DigestInstance {
+  model::ModelLibrary library;
+  std::vector<double> utilities;
+  std::vector<double> loads;  ///< joint mode's compute loads
+  support::Bytes capacity = 0;
+};
+
+DigestInstance digest_instance(std::uint64_t seed, std::size_t num_models) {
+  Rng rng(seed);
+  DigestInstance out;
+  switch (seed % 3) {
+    case 0: {
+      model::SpecialCaseConfig config;
+      config.models_per_family = num_models / 3;
+      out.library = model::build_special_case_library(config, rng);
+      out.capacity = megabytes(200);
+      break;
+    }
+    case 1:
+      out.library = testutil::random_library(rng, num_models, num_models + 3);
+      out.capacity = megabytes(30);
+      break;
+    default:
+      out.library = non_nested_library(rng, num_models);
+      out.capacity = megabytes(20);
+      break;
+  }
+  // Utilities within 10x of each other keep the exact-profit table small.
+  out.utilities.assign(out.library.num_models(), 0.0);
+  for (auto& u : out.utilities) {
+    if (!rng.bernoulli(0.2)) u = rng.uniform(0.1, 1.0);
+  }
+  out.loads.resize(out.library.num_models());
+  for (auto& load : out.loads) load = rng.uniform(0.0, 1.0);
+  return out;
+}
+
+/// Solves `instance`'s utilities over `library` and `capacity` (its own, or
+/// a rescaled copy); joint mode, with compute budget 2, when compute_states
+/// is non-zero.
+ServerSubproblemResult solve_instance(const DigestInstance& instance,
+                                      const model::ModelLibrary& library,
+                                      support::Bytes capacity,
+                                      const SpecSolverConfig& config) {
+  const bool joint = config.compute_states != 0;
+  return solve_server_subproblem(library, instance.utilities, capacity, config,
+                                 joint ? &instance.loads : nullptr,
+                                 joint ? 2.0 : std::numeric_limits<double>::infinity());
+}
+
+/// Digest of solve_instance over `seeds` seeds from `first_seed`: per seed,
+/// the value's bits as %a, the models, the leaf count and the traversal
+/// taken, or the exception text.
+std::uint64_t subproblem_digest(const SpecSolverConfig& config, std::uint64_t first_seed,
+                                std::size_t seeds, std::size_t num_models) {
+  Fnv1a hash;
+  for (std::uint64_t seed = first_seed; seed < first_seed + seeds; ++seed) {
+    const DigestInstance instance = digest_instance(seed, num_models);
+    try {
+      const auto result =
+          solve_instance(instance, instance.library, instance.capacity, config);
+      char value[64];
+      std::snprintf(value, sizeof value, "%a", result.value);
+      hash.add(std::string(value));
+      hash.add(std::uint64_t{result.models.size()});
+      for (const ModelId i : result.models) hash.add(std::uint64_t{i});
+      hash.add(std::uint64_t{result.combinations_visited});
+      hash.add(std::uint64_t{result.used_chain_path ? 1U : 0U});
+    } catch (const std::exception& e) {
+      hash.add(std::string("throw: ") + e.what());
+    }
+  }
+  return hash.value();
+}
+
+SpecSolverConfig profit_config(double epsilon) {
+  SpecSolverConfig config;
+  config.epsilon = epsilon;
+  config.compute_states = 0;
+  return config;
+}
+
+SpecSolverConfig weight_config(std::size_t states) {
+  SpecSolverConfig config;
+  config.mode = DpMode::kWeightQuantized;
+  config.weight_states = states;
+  config.compute_states = 0;
+  return config;
+}
+
+SpecSolverConfig joint_config(std::size_t states, std::size_t compute_states) {
+  SpecSolverConfig config;
+  config.weight_states = states;
+  config.compute_states = compute_states;
+  return config;
+}
+
+// The constants were recorded with the sharded table fill the solver used to
+// have, at 1 and 4 threads alike (the profit eps=0 and weight 2^17 tables
+// crossed its size threshold), and hold for the serial fill unchanged.
+TEST(DpGoldenDigest, ProfitMode) {
+  EXPECT_EQ(subproblem_digest(profit_config(0.1), 100, 9, 12), 0x14b4f41e9a336cbcULL);
+  EXPECT_EQ(subproblem_digest(profit_config(0.0), 200, 3, 9), 0xdd73b3f7924be120ULL);
+}
+
+TEST(DpGoldenDigest, WeightMode) {
+  EXPECT_EQ(subproblem_digest(weight_config(4096), 300, 9, 12), 0xf4b89e8fbc71fecdULL);
+  EXPECT_EQ(subproblem_digest(weight_config(std::size_t{1} << 17), 400, 3, 9),
+            0x99831217f652314cULL);
+}
+
+TEST(DpGoldenDigest, JointMode) {
+  EXPECT_EQ(subproblem_digest(joint_config(512, 32), 500, 9, 12), 0x3d49677c3d5e6f80ULL);
+  EXPECT_EQ(subproblem_digest(joint_config(4096, 64), 600, 3, 9), 0x8eef805fbc962ecfULL);
+}
+
+// ------------------------------------------------------------- unit scaling
+
+/// `library` with every block 2^shift times larger.
+model::ModelLibrary scaled_library(const model::ModelLibrary& library, unsigned shift) {
+  model::ModelLibrary out;
+  for (BlockId j = 0; j < library.num_blocks(); ++j) {
+    out.add_block(library.block(j).size_bytes << shift, library.block(j).name);
+  }
+  for (ModelId i = 0; i < library.num_models(); ++i) {
+    const model::ModelSpec& spec = library.model(i);
+    out.add_model(spec.name, spec.family, spec.blocks);
+  }
+  out.finalize();
+  return out;
+}
+
+void expect_same_result(const ServerSubproblemResult& lhs,
+                        const ServerSubproblemResult& rhs) {
+  EXPECT_EQ(lhs.models, rhs.models);
+  EXPECT_EQ(lhs.value, rhs.value);  // exact: same bits
+  EXPECT_EQ(lhs.combinations_visited, rhs.combinations_visited);
+  EXPECT_EQ(lhs.used_chain_path, rhs.used_chain_path);
+}
+
+class DpUnitScaling : public ::testing::TestWithParam<std::uint64_t> {};
+
+// Bytes carry no unit the solver may depend on: scaling every block and the
+// capacity by 2^k leaves every result field unchanged. The weight and joint
+// configs give states dividing the capacity, so the storage quantum scales
+// exactly too (ceil(capacity / states) is not homogeneous in general).
+TEST_P(DpUnitScaling, ScalingBlocksAndCapacityChangesNothing) {
+  for (std::uint64_t kind = 0; kind < 3; ++kind) {
+    const std::uint64_t seed = 3 * GetParam() + kind;
+    const DigestInstance instance = digest_instance(seed, 9);
+    const std::size_t states = static_cast<std::size_t>(instance.capacity / 10'000);
+    const std::vector<std::pair<std::string, SpecSolverConfig>> configs = {
+        {"profit eps=0.1", profit_config(0.1)},
+        {"profit eps=0", profit_config(0.0)},
+        {"weight", weight_config(states)},
+        {"joint", joint_config(states, 16)},
+    };
+    for (const auto& [name, config] : configs) {
+      const auto base =
+          solve_instance(instance, instance.library, instance.capacity, config);
+      for (const unsigned shift : {1U, 10U}) {
+        SCOPED_TRACE(::testing::Message()
+                     << name << " seed=" << seed << " k=" << shift);
+        expect_same_result(base, solve_instance(instance,
+                                                scaled_library(instance.library, shift),
+                                                instance.capacity << shift, config));
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, DpUnitScaling, ::testing::Range<std::uint64_t>(0, 3));
 
 }  // namespace
 }  // namespace trimcaching::core

@@ -6,8 +6,7 @@
 //     user rides into the neighbour tile and gets served, matching the
 //     untiled solution; without a halo it is lost;
 //   * bit-identity of ScenarioTiler::solve and of the parallelized Spec/Gen
-//     inner loops (utility accumulation, batched gains, sharded DP fills)
-//     across thread counts;
+//     inner loops (utility accumulation, batched gains) across thread counts;
 //   * PlacementProblem sub-views agree with the full instance cell by cell.
 #include <gtest/gtest.h>
 
@@ -224,14 +223,8 @@ TEST(ParallelSolvers, SpecAndGenInnerLoopsBitIdenticalAcrossThreadCounts) {
   const Scenario scenario = build_scenario(config, rng);
   const core::PlacementProblem problem = scenario.problem();
 
-  // eps=0.001 inflates the profit DP past the parallel-fill threshold, and
-  // states=200000 does the same for the weight-quantized mode, so the
-  // sharded table fills actually execute.
   const std::vector<std::pair<std::string, std::string>> pairs = {
       {"spec:threads=1", "spec:threads=8"},
-      {"spec:eps=0.001,threads=1", "spec:eps=0.001,threads=8"},
-      {"spec:mode=weight,states=200000,threads=1",
-       "spec:mode=weight,states=200000,threads=8"},
       {"gen:threads=1", "gen:threads=8"},
       {"gen_naive:threads=1", "gen_naive:threads=8"},
       {"gen_naive:rule=per_byte,threads=1", "gen_naive:rule=per_byte,threads=8"},
