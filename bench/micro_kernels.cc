@@ -184,7 +184,7 @@ BENCHMARK(BM_SpecScalingInLibrary)->Arg(30)->Arg(90)->Arg(180)->Arg(300)->Comple
 // The fading kernel on one arena, scalar backend vs the runtime-dispatched
 // one. First arg = arena scale (0 = the shared ~50-link scenario, 1 = the
 // ~1000-link scenario), second = backend (0 = forced scalar, 1 = active —
-// avx2/neon where available, else scalar again). 100 realizations each.
+// avx2 where available, else scalar again). 100 realizations each.
 // main() below derives the hardware-independent fading_vector_speedup_*
 // records (scalar wall over active wall) from the /0 vs /1 rows.
 void BM_FadingKernel(benchmark::State& state) {
@@ -206,7 +206,7 @@ BENCHMARK(BM_FadingKernel)->Args({0, 0})->Args({0, 1})->Args({1, 0})->Args({1, 1
 
 // The raw counter-based Rayleigh batch (support/simd.h rayleigh_gains):
 // scalar backend vs the runtime-dispatched one. First arg = batch length,
-// second = backend (0 = scalar, 1 = active — avx2/neon where available, else
+// second = backend (0 = scalar, 1 = active — avx2 where available, else
 // scalar again, so the benchmark never skips).
 void BM_RayleighBatch(benchmark::State& state) {
   namespace simd = support::simd;

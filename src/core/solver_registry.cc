@@ -1,6 +1,7 @@
 #include "src/core/solver_registry.h"
 
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include <numeric>
@@ -14,6 +15,7 @@
 #include "src/core/submodular.h"
 #include "src/core/trimcaching_gen.h"
 #include "src/core/trimcaching_spec.h"
+#include "src/support/parallel.h"
 
 namespace trimcaching::core {
 
@@ -221,7 +223,7 @@ class CompositeSolver final : public Solver {
 
   std::string name() const override {
     std::string joined = base_->name();
-    for (const auto& refiner : refiners_) joined += "+" + refiner->name();
+    for (const auto& refiner : refiners_) joined.append("+").append(refiner->name());
     return joined;
   }
 
@@ -257,11 +259,22 @@ class CompositeSolver final : public Solver {
 
 // ----------------------------------------------------------------- factories
 
+// A solver's `threads` option (0 = auto), rejected above support::kMaxThreads.
+std::size_t threads_from(const support::Options& options, std::size_t fallback) {
+  const std::size_t threads = options.get_size("threads", fallback);
+  if (threads > support::kMaxThreads) {
+    throw std::invalid_argument("threads: must be <= " +
+                                std::to_string(support::kMaxThreads) + ", got " +
+                                std::to_string(threads));
+  }
+  return threads;
+}
+
 SpecConfig spec_config_from(const support::Options& options) {
   options.check_unknown({"eps", "mode", "states", "max_combinations",
                          "max_profit_states", "order", "threads"});
   SpecConfig config;
-  config.threads = options.get_size("threads", config.threads);
+  config.threads = threads_from(options, config.threads);
   const std::string mode = options.get_string("mode", "profit");
   if (mode == "profit") {
     config.solver.mode = DpMode::kProfitRounding;
@@ -294,7 +307,7 @@ GenConfig gen_config_from(const support::Options& options, bool lazy_default) {
   options.check_unknown({"lazy", "rule", "threads"});
   GenConfig config;
   config.lazy = options.get_bool("lazy", lazy_default);
-  config.threads = options.get_size("threads", config.threads);
+  config.threads = threads_from(options, config.threads);
   const std::string rule = options.get_string("rule", "gain");
   if (rule == "gain") {
     config.rule = GreedyRule::kGain;
@@ -377,7 +390,7 @@ void register_builtins(SolverRegistry& registry) {
       [](const support::Options& options) -> std::unique_ptr<Solver> {
         options.check_unknown({"threads", "tol"});
         RepairPassConfig config;
-        config.threads = options.get_size("threads", config.threads);
+        config.threads = threads_from(options, config.threads);
         config.eviction_tolerance =
             options.get_double("tol", config.eviction_tolerance);
         return std::make_unique<RepairSolver>(config);

@@ -41,6 +41,11 @@ std::size_t threads_option(const support::Options& options) {
   if (value <= 0) {
     throw std::invalid_argument("threads must be >= 1 (got " + text + ")");
   }
+  if (static_cast<unsigned long long>(value) > support::kMaxThreads) {
+    throw std::invalid_argument("threads must be <= " +
+                                std::to_string(support::kMaxThreads) + " (got " +
+                                text + ")");
+  }
   const std::size_t hardware = support::hardware_threads();
   if (static_cast<unsigned long long>(value) > hardware) {
     std::cerr << "notice: threads=" << value << " capped at hardware concurrency ("

@@ -20,9 +20,9 @@ namespace trimcaching::sim {
 [[nodiscard]] MonteCarloConfig default_mc_config();
 
 /// Parses and validates a `threads=` option: absent -> 0 (auto = hardware
-/// concurrency). Explicit values must be positive integers — zero, negative
-/// or non-numeric values throw std::invalid_argument — and are capped at
-/// the hardware concurrency (with a notice on stderr).
+/// concurrency). Explicit values must be integers in [1, kMaxThreads] —
+/// other values throw std::invalid_argument — and are capped at the
+/// hardware concurrency (with a notice on stderr).
 [[nodiscard]] std::size_t threads_option(const support::Options& options);
 
 /// One-line run-header description of the resolved thread count, e.g.

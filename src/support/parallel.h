@@ -29,6 +29,11 @@ namespace trimcaching::support {
 /// any other value is taken as-is.
 [[nodiscard]] std::size_t resolve_threads(std::size_t requested) noexcept;
 
+/// Ceiling on every thread-count knob (the `threads=` option of the CLI and
+/// benches, a solver's `threads` option). The pool starts one OS thread per
+/// requested executor, so larger values are rejected, not spawned.
+inline constexpr std::size_t kMaxThreads = 1024;
+
 /// Runs body(i) for every i in [0, n) using up to `threads` concurrent
 /// executors from the shared pool (threads == 0 -> hardware concurrency).
 /// Runs inline (serially) when threads <= 1, n <= 1, or when called from

@@ -1,14 +1,15 @@
 // Scalar backend + runtime dispatch of the SIMD layer (simd.h).
 //
-// The scalar entry points below are the semantic reference: the vector
-// backends must reproduce their integer/uniform derivation bit for bit and
-// their transcendentals within simd.h's documented ULP bound. Dispatch picks
-// the widest compiled-in backend the running CPU supports, once per process;
-// force_backend() overrides for tests and A/B benchmarks.
+// The scalar entry points below are the semantic reference: the AVX2 backend
+// must reproduce their integer/uniform derivation bit for bit and their
+// transcendentals within simd.h's documented ULP bound. Dispatch picks
+// AVX2 when the build is x86-64 and the running CPU supports it, once per
+// process; force_backend() overrides for tests and A/B benchmarks.
 #include "src/support/simd.h"
 
 #include <bit>
 #include <cmath>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -46,22 +47,7 @@ constexpr Ops kScalarOps{scalar_rayleigh_gains, scalar_inv_rate_from_gains};
 
 // ---------------------------------------------------------------- dispatch
 
-Backend detect_best() noexcept {
-#if defined(TRIMCACHING_SIMD) && (defined(__x86_64__) || defined(_M_X64))
-  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
-    return Backend::kAvx2;
-  }
-#endif
-#if defined(TRIMCACHING_SIMD) && defined(__aarch64__)
-  return Backend::kNeon;  // NEON is baseline on AArch64
-#endif
-  return Backend::kScalar;
-}
-
-// kScalar doubles as "no override": forcing scalar and auto-detecting scalar
-// dispatch identically, so the conflation is harmless.
-Backend g_forced = Backend::kScalar;
-bool g_force_active = false;
+std::optional<Backend> g_forced;  // force_backend's override, if any
 
 }  // namespace
 
@@ -69,84 +55,48 @@ const char* backend_name(Backend backend) noexcept {
   switch (backend) {
     case Backend::kScalar: return "scalar";
     case Backend::kAvx2: return "avx2";
-    case Backend::kNeon: return "neon";
   }
   return "unknown";
 }
 
 bool backend_available(Backend backend) noexcept {
-  switch (backend) {
-    case Backend::kScalar:
-      return true;
-    case Backend::kAvx2:
-#if defined(TRIMCACHING_SIMD) && (defined(__x86_64__) || defined(_M_X64))
-      return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
-#else
-      return false;
-#endif
-    case Backend::kNeon:
-#if defined(TRIMCACHING_SIMD) && defined(__aarch64__)
-      return true;
-#else
-      return false;
-#endif
+#if defined(__x86_64__)
+  if (backend == Backend::kAvx2) {
+    return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
   }
-  return false;
-}
-
-std::size_t lane_width(Backend backend) noexcept {
-  switch (backend) {
-    case Backend::kScalar: return 1;
-    case Backend::kAvx2: return 4;
-    case Backend::kNeon: return 2;
-  }
-  return 1;
+#endif
+  return backend == Backend::kScalar;
 }
 
 Backend active_backend() noexcept {
-  if (g_force_active) return g_forced;
-  static const Backend best = detect_best();
+  if (g_forced) return *g_forced;
+  static const Backend best =
+      backend_available(Backend::kAvx2) ? Backend::kAvx2 : Backend::kScalar;
   return best;
 }
 
-void force_backend(Backend backend) {
-  if (!backend_available(backend)) {
-    throw std::invalid_argument(std::string("simd::force_backend: backend '") +
-                                backend_name(backend) +
-                                "' is not available on this build/CPU");
-  }
-  g_forced = backend;
-  g_force_active = true;
-}
-
-void clear_forced_backend() noexcept { g_force_active = false; }
-
-#if defined(TRIMCACHING_SIMD) && (defined(__x86_64__) || defined(_M_X64))
+#if defined(__x86_64__)
 const Ops& avx2_ops() noexcept;  // simd_avx2.cc
-#endif
-#if defined(TRIMCACHING_SIMD) && defined(__aarch64__)
-const Ops& neon_ops() noexcept;  // simd_neon.cc
 #endif
 
 const Ops& ops(Backend backend) {
-  switch (backend) {
-    case Backend::kScalar:
-      return kScalarOps;
-    case Backend::kAvx2:
-#if defined(TRIMCACHING_SIMD) && (defined(__x86_64__) || defined(_M_X64))
-      if (backend_available(Backend::kAvx2)) return avx2_ops();
-#endif
-      break;
-    case Backend::kNeon:
-#if defined(TRIMCACHING_SIMD) && defined(__aarch64__)
-      return neon_ops();
-#endif
-      break;
+  if (!backend_available(backend)) {
+    throw std::invalid_argument(std::string("simd: backend '") +
+                                backend_name(backend) +
+                                "' is not available on this build/CPU");
   }
-  throw std::invalid_argument(std::string("simd::ops: backend '") +
-                              backend_name(backend) +
-                              "' is not available on this build/CPU");
+#if defined(__x86_64__)
+  if (backend == Backend::kAvx2) return avx2_ops();
+#endif
+  return kScalarOps;
 }
+
+void force_backend(Backend backend) {
+  static_cast<void>(ops(backend));  // throws when unavailable
+  g_forced = backend;
+}
+
+void clear_forced_backend() noexcept { g_forced.reset(); }
 
 const Ops& ops() noexcept { return ops(active_backend()); }
 

@@ -1,4 +1,4 @@
-// Portable SIMD layer for the Monte-Carlo fading kernels.
+// SIMD layer for the Monte-Carlo fading kernels.
 //
 // Every fading figure bottoms out in the same three array passes per
 // realization (sim/eval_plan.h): sample a Rayleigh power gain per link,
@@ -6,21 +6,19 @@
 // (per-user / per-holder min over the link spans, then one threshold
 // compare per request row for Eq. 4/5). This header wraps the first two
 // passes, whose transcendentals are where backends differ, behind one table
-// of entry points (`Ops`) with three interchangeable backends; the hit pass
+// of entry points (`Ops`) with two interchangeable backends; the hit pass
 // is backend-free GCC vector code inside EvalPlan:
 //
-//   * kScalar  — plain loops over std::log/std::log2; always available and
-//     the semantic reference for the other two;
+//   * kScalar  — plain loops over std::log/std::log2; always available, the
+//     semantic reference, and the fallback on CPUs without AVX2;
 //   * kAvx2    — 4-wide AVX2(+FMA) x86-64 kernels (simd_avx2.cc), compiled
 //     via function-level target attributes so the rest of the library keeps
-//     its baseline ISA; selected at runtime only when cpuid reports AVX2;
-//   * kNeon    — 2-wide AArch64 NEON kernels (simd_neon.cc).
+//     its baseline ISA; selected at runtime only when cpuid reports AVX2.
 //
-// Compile-time switch: the vector backends exist only when TRIMCACHING_SIMD
-// is defined (CMake option, default ON); without it every query degrades to
-// the scalar backend and the library is ISA-clean. Runtime dispatch: ops()
-// returns the best available backend's table, decided once per process from
-// CPU features; force_backend() overrides it (tests, A/B benchmarks).
+// x86-64 builds compile the AVX2 backend; other hosts compile only the
+// scalar one. Runtime dispatch: ops() returns
+// the best available backend's table, decided once per process from CPU
+// features; force_backend() overrides it (tests, A/B benchmarks).
 //
 // Numerical contract (locked by tests/simd_test.cc):
 //
@@ -33,7 +31,7 @@
 //     of the correctly-rounded result (libm's own std::log/std::log2 are
 //     faithfully rounded, so backend-vs-scalar element differences are
 //     bounded by kMaxUlpError + 1 ULP).
-//   * inv_rate_from_gains: the vector backends contract 1+snr·g into an FMA,
+//   * inv_rate_from_gains: the AVX2 backend contracts 1+snr·g into an FMA,
 //     so y itself may differ from the scalar two-rounding result by 1 ULP;
 //     log2 amplifies that when y is near 1 (log2(y) -> 0). The guarantee is
 //     therefore relative, not ULP-tight: |Δinv/inv| <= kMaxRelError, which
@@ -70,17 +68,13 @@ inline constexpr double kMaxRelError = 1e-12;
 enum class Backend {
   kScalar = 0,  ///< std::log/std::log2 loops; always available
   kAvx2 = 1,    ///< 4-wide x86-64 AVX2+FMA
-  kNeon = 2,    ///< 2-wide AArch64 NEON
 };
 
-/// Stable display name ("scalar", "avx2", "neon").
+/// Stable display name ("scalar", "avx2").
 [[nodiscard]] const char* backend_name(Backend backend) noexcept;
 
 /// Whether `backend` was compiled in AND the running CPU supports it.
 [[nodiscard]] bool backend_available(Backend backend) noexcept;
-
-/// Doubles per vector lane group (1 / 4 / 2).
-[[nodiscard]] std::size_t lane_width(Backend backend) noexcept;
 
 /// The backend ops() dispatches to: the forced override if set, otherwise
 /// the best available backend (decided once from CPU features).

@@ -11,7 +11,7 @@
 // below 1e-18 relative, total error well inside simd.h's kMaxUlpError.
 #include "src/support/simd.h"
 
-#if defined(TRIMCACHING_SIMD) && (defined(__x86_64__) || defined(_M_X64))
+#if defined(__x86_64__)
 
 #include <immintrin.h>
 
@@ -171,4 +171,4 @@ const Ops& avx2_ops() noexcept { return kAvx2Ops; }
 
 }  // namespace trimcaching::support::simd
 
-#endif  // TRIMCACHING_SIMD && x86-64
+#endif  // __x86_64__

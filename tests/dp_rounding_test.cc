@@ -57,8 +57,8 @@ model::ModelLibrary non_nested_library(Rng& rng, std::size_t num_models) {
                                                    {s1, s2}, {s2}, {}};
   for (std::size_t i = 0; i < num_models; ++i) {
     std::vector<BlockId> blocks = parts[i < 3 ? i : rng.index(parts.size())];
-    blocks.push_back(block("x" + std::to_string(i)));
-    lib.add_model("m" + std::to_string(i), "f", std::move(blocks));
+    blocks.push_back(block(testutil::indexed_name("x", i)));
+    lib.add_model(testutil::indexed_name("m", i), "f", std::move(blocks));
   }
   lib.finalize();
   return lib;
@@ -346,8 +346,8 @@ TEST(DpRounding, CombinationCapThrows) {
     const BlockId shared = lib.add_block(megabytes(1), "s");
     const BlockId a = lib.add_block(megabytes(1), "a");
     const BlockId b = lib.add_block(megabytes(1), "b");
-    lib.add_model("a" + std::to_string(g), "f", {shared, a});
-    lib.add_model("b" + std::to_string(g), "f", {shared, b});
+    lib.add_model(testutil::indexed_name("a", g), "f", {shared, a});
+    lib.add_model(testutil::indexed_name("b", g), "f", {shared, b});
   }
   lib.finalize();
   std::vector<double> utilities(lib.num_models(), 1.0);

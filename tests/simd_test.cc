@@ -47,8 +47,8 @@ namespace {
 namespace simd = support::simd;
 using support::Rng;
 
-/// Sweep sizes: every lane phase of the 4-wide and 2-wide backends plus
-/// straddling tails and a bulk size.
+/// Sweep sizes: every lane phase of the 4-wide AVX2 backend plus straddling
+/// tails and a bulk size.
 const std::vector<std::size_t>& sweep_sizes() {
   static const std::vector<std::size_t> sizes = {0,  1,  2,  3,  4,   5,   7,
                                                  8,  9,  11, 15, 16,  17,  31,
@@ -134,8 +134,6 @@ TEST(SimdDispatch, ActiveBackendIsAvailableAndForceable) {
   ASSERT_TRUE(simd::backend_available(detected));
   ASSERT_TRUE(simd::backend_available(simd::Backend::kScalar));
   ASSERT_STREQ(simd::backend_name(simd::Backend::kScalar), "scalar");
-  ASSERT_EQ(simd::lane_width(simd::Backend::kScalar), 1u);
-  ASSERT_GE(simd::lane_width(detected), 1u);
 
   simd::force_backend(simd::Backend::kScalar);
   ASSERT_EQ(simd::active_backend(), simd::Backend::kScalar);
@@ -143,8 +141,10 @@ TEST(SimdDispatch, ActiveBackendIsAvailableAndForceable) {
   simd::clear_forced_backend();
   ASSERT_EQ(simd::active_backend(), detected);
 
+  // AVX2 on a CPU without it, and a value outside the enum on every host:
+  // both must be rejected without touching the dispatch decision.
   for (const simd::Backend backend :
-       {simd::Backend::kAvx2, simd::Backend::kNeon}) {
+       {simd::Backend::kAvx2, static_cast<simd::Backend>(7)}) {
     if (simd::backend_available(backend)) continue;
     EXPECT_THROW(simd::force_backend(backend), std::invalid_argument);
     EXPECT_THROW(static_cast<void>(simd::ops(backend)), std::invalid_argument);

@@ -170,7 +170,10 @@ TEST(SolverRegistry, BadSpecKnobsFailNamingTheKnob) {
   SolverContext context(1);
   for (const auto& [spec, knob] : {std::pair{"spec:mode=profit,states=0", "states"},
                                    std::pair{"spec:eps=nan", "eps"},
-                                   std::pair{"spec:eps=1e-300", "eps"}}) {
+                                   std::pair{"spec:eps=1e-300", "eps"},
+                                   std::pair{"spec:threads=100000", "threads"},
+                                   std::pair{"gen:threads=100000", "threads"},
+                                   std::pair{"repair:threads=100000", "threads"}}) {
     try {
       (void)SolverRegistry::instance().make(spec)->run(problem, context);
       ADD_FAILURE() << spec << " ran without an error";

@@ -26,6 +26,15 @@ struct World {
   }
 };
 
+/// `prefix` followed by the decimal `index` ("b3", "m12"). Built by append,
+/// not `"literal" + std::string&&`: GCC 12 flags that operator's inlined
+/// insert with a false-positive -Wrestrict.
+inline std::string indexed_name(const char* prefix, std::size_t index) {
+  std::string name(prefix);
+  name += std::to_string(index);
+  return name;
+}
+
 /// A random library with arbitrary (usually non-chain) sharing: `num_blocks`
 /// blocks with whole-MB sizes in [1, max_block_mb]; every model draws 1..4
 /// distinct blocks. Whole-MB sizes make the weight-quantized DP exact when
@@ -37,7 +46,7 @@ inline model::ModelLibrary random_library(support::Rng& rng, std::size_t num_mod
   for (std::size_t j = 0; j < num_blocks; ++j) {
     lib.add_block(support::megabytes(static_cast<double>(
                       rng.uniform_int(1, static_cast<std::int64_t>(max_block_mb)))),
-                  "b" + std::to_string(j));
+                  indexed_name("b", j));
   }
   for (std::size_t i = 0; i < num_models; ++i) {
     const std::size_t count =
@@ -47,7 +56,7 @@ inline model::ModelLibrary random_library(support::Rng& rng, std::size_t num_mod
     for (std::size_t c = 0; c < count; ++c) {
       blocks.push_back(static_cast<BlockId>(order[c]));
     }
-    lib.add_model("m" + std::to_string(i), "rand", std::move(blocks));
+    lib.add_model(indexed_name("m", i), "rand", std::move(blocks));
   }
   lib.finalize();
   return lib;

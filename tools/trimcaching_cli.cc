@@ -30,7 +30,7 @@
 //   time_budget_s        per-solver deadline in seconds, 0 = none (0)
 //   seed                 RNG seed                    (1)
 //   fading               fading realizations, 0=off  (300)
-//   threads              evaluation/tile-solve threads, >=1, capped at
+//   threads              evaluation/tile-solve threads, 1..1024, capped at
 //                        hardware concurrency (default: hardware
 //                        concurrency); solver inner loops take their own
 //                        threads option, e.g. algo=gen:threads=8
@@ -62,7 +62,9 @@
 //                        and still count as a duplicate (1e-12)
 #include <cmath>
 #include <iostream>
+#include <limits>
 #include <optional>
+#include <sstream>
 #include <vector>
 
 #include "src/core/solver_registry.h"
@@ -94,6 +96,23 @@ std::vector<std::string> split_specs(const std::string& text) {
   return specs;
 }
 
+/// A real-valued knob that must be finite and in [0, max]. NaN, infinities
+/// and negative values fail naming the knob; a NaN or negative capacity
+/// would otherwise reach an undefined double -> uint64_t cast.
+double nonnegative_knob(const support::Options& options, const std::string& key,
+                        double fallback,
+                        double max = std::numeric_limits<double>::max()) {
+  const double value = options.get_double(key, fallback);
+  if (!(value >= 0 && value <= max)) {  // also rejects NaN
+    std::ostringstream what;
+    what << key << ": must be a finite number >= 0";
+    if (max < std::numeric_limits<double>::max()) what << " and <= " << max;
+    what << ", got " << value;
+    throw std::invalid_argument(what.str());
+  }
+  return value;
+}
+
 /// Availability report settings (availability= / outage_samples= knobs);
 /// availability = 1 skips the report entirely.
 struct AvailabilityKnobs {
@@ -103,7 +122,7 @@ struct AvailabilityKnobs {
 
 void report(const core::Solver& solver, const core::SolverOutcome& outcome,
             const sim::Scenario& scenario, const sim::Evaluator& evaluator,
-            const support::Options& options, std::size_t threads,
+            const support::Options& options, std::size_t threads, double arrivals,
             const sim::FaultSchedule* faults, const AvailabilityKnobs& avail,
             support::Rng& rng) {
   std::cout << solver.title() << " [" << solver.name() << "]:\n"
@@ -127,7 +146,6 @@ void report(const core::Solver& solver, const core::SolverOutcome& outcome,
     std::cout << "  fading hit ratio:   " << summary.mean << " +- " << summary.stddev
               << " (" << fading << " realizations, " << threads << " threads)\n";
   }
-  const double arrivals = options.get_double("arrivals", 0.0);
   if (arrivals > 0) {
     serve::ServeConfig serving;
     serving.arrival_rate_per_user = arrivals;
@@ -213,22 +231,16 @@ int main(int argc, char** argv) {
     config.num_servers = options.get_size("servers", 10);
     config.num_users = options.get_size("users", 20);
     config.area_side_m = options.get_double("area_m", 1000.0);
-    config.capacity_bytes = support::gigabytes(options.get_double("capacity_gb", 1.0));
+    // 1e10 GB keeps the byte count below 2^64.
+    config.capacity_bytes =
+        support::gigabytes(nonnegative_knob(options, "capacity_gb", 1.0, 1e10));
     config.library_size = options.get_size("models", 0);
     config.requests.models_per_user = options.get_size("requested", 30);
     config.requests.zipf_exponent = options.get_double("zipf", 0.8);
-    const double compute = options.get_double("compute", 0.0);
-    if (compute < 0) {
-      throw std::invalid_argument("compute: must be >= 0 (0 = unlimited), got " +
-                                  std::to_string(compute));
-    }
+    const double compute = nonnegative_knob(options, "compute", 0.0);  // 0 = unlimited
     if (compute > 0) config.compute_capacity = compute;
-    const double infer_cost = options.get_double("infer_cost", 1.0);
-    if (infer_cost < 0) {
-      throw std::invalid_argument("infer_cost: must be >= 0, got " +
-                                  std::to_string(infer_cost));
-    }
-    config.requests.infer_cost_scale = infer_cost;
+    config.requests.infer_cost_scale = nonnegative_knob(options, "infer_cost", 1.0);
+    const double arrivals = nonnegative_knob(options, "arrivals", 0.0);  // 0 = off
     const std::string library = options.get_string("library", "special");
     if (library == "special") {
       config.library_kind = sim::LibraryKind::kSpecialCase;
@@ -384,7 +396,7 @@ int main(int argc, char** argv) {
         io::write_placement(path, outcome.placement);
         std::cout << solvers[s]->name() << " placement written to " << path << "\n";
       }
-      report(*solvers[s], outcome, scenario, evaluator, options, threads,
+      report(*solvers[s], outcome, scenario, evaluator, options, threads, arrivals,
              fault_schedule.get(), avail, rng);
     }
     return 0;
