@@ -204,10 +204,10 @@ void BM_FadingKernel(benchmark::State& state) {
 }
 BENCHMARK(BM_FadingKernel)->Args({0, 0})->Args({0, 1})->Args({1, 0})->Args({1, 1});
 
-// The raw counter-based Rayleigh batch (support/simd.h rayleigh_gains):
-// scalar backend vs the runtime-dispatched one. First arg = batch length,
-// second = backend (0 = scalar, 1 = active — avx2 where available, else
-// scalar again, so the benchmark never skips).
+// The raw counter-based Rayleigh batch (support/simd.h rayleigh_gains, one
+// key, lanes = 1): scalar backend vs the runtime-dispatched one. First arg =
+// batch length, second = backend (0 = scalar, 1 = active — avx2 where
+// available, else scalar again, so the benchmark never skips).
 void BM_RayleighBatch(benchmark::State& state) {
   namespace simd = support::simd;
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -217,7 +217,7 @@ void BM_RayleighBatch(benchmark::State& state) {
   std::vector<double> gains(n);
   std::uint64_t key = 0x9e3779b97f4a7c15ull;
   for (auto _ : state) {
-    ops.rayleigh_gains(key, n, gains.data());
+    ops.rayleigh_gains(&key, 1, n, gains.data());
     benchmark::DoNotOptimize(gains.data());
     benchmark::ClobberMemory();
     ++key;  // a fresh realization key per iteration, like the fading loop

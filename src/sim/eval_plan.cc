@@ -8,42 +8,102 @@
 #include "src/support/parallel.h"
 #include "src/support/simd.h"
 #include "src/support/units.h"
-#include "src/wireless/channel.h"
 
 namespace trimcaching::sim {
 
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-// WorkerArena slots of the fading scratch buffers (support/parallel.h).
-constexpr std::size_t kArenaGains = 0;
-constexpr std::size_t kArenaStaging = 1;
-constexpr std::size_t kArenaBlocked = 2;
+// WorkerArena slot of the lane-blocked gain / inverse-rate buffer
+// (support/parallel.h).
+constexpr std::size_t kArenaBlocked = 0;
 
-// Realizations per lane-blocked hit pass: amortizes the per-row metadata
-// walk (the dominant cost at paper scale, where request rows outnumber links
-// ~3:1) over eight realizations and turns each holder probe into one
-// contiguous 8-double load instead of a strided gather. Eight lanes are
-// four Vec2d per operand, which stay in registers on SSE2 and NEON; a
-// four-lane block gains less at 100x scale, sixteen lanes no more.
-constexpr std::size_t kLaneBlock = 8;
-constexpr std::size_t kVecs = kLaneBlock / 2;
+// Realizations per lane-blocked pass: amortizes the per-row metadata walk
+// (the dominant cost at scale: plan-100x's placement lowers ~14 request
+// rows per link) over sixteen realizations and turns each holder probe into one
+// contiguous 16-double load instead of a strided gather. Sixteen lanes are
+// eight Vec2d per operand at the baseline ISA and four Vec4d under AVX2.
+// The draws fill the block in place, in simd.h's link-major layout with
+// lanes = kLaneBlock, so the AVX2 backend draws four lanes of one link per
+// vector and no per-realization staging or interleave remains.
+constexpr std::size_t kLaneBlock = 16;
 
-// Two-lane double / mask vectors (GCC/Clang extension): lower to SSE2 on
-// x86-64's baseline ISA and to NEON on AArch64, so the blocked hit pass
-// vectorizes without target attributes or a runtime-dispatched backend.
-// Every lane op is a plain IEEE min, compare or add, so each lane's result
-// is bit-identical to evaluating its realization alone.
+// Double vectors (GCC/Clang extension) of the hit pass: two lanes lower to
+// SSE2 at x86-64's baseline ISA, four lanes to AVX2 inside a target("avx2")
+// function (outside one, GCC 12 scalarizes a 32-byte vector).
 typedef double Vec2d __attribute__((vector_size(16), aligned(8)));
-typedef long long Mask2 __attribute__((vector_size(16), aligned(8)));
+typedef double Vec4d __attribute__((vector_size(32), aligned(8)));
 
-inline Vec2d load2(const double* p) noexcept {
-  Vec2d v;
-  __builtin_memcpy(&v, p, sizeof v);
-  return v;
+// The hit pass over one lane block, written once over the vector type V.
+// Lane j reads inv_blocked[link * kLaneBlock + j]; one walk over the rows
+// serves kLaneBlock realizations. Per user the vertical min over the link
+// span gives each lane's best covering link (no horizontal reduction); per
+// row the holder min and the two threshold compares decide every lane at
+// once, and the probability is added under the hit mask. A missed lane adds
+// +0.0, which leaves its non-negative mass bit-unchanged, so each lane's
+// mass is the same row-order sum as a per-realization walk, whatever V's
+// width. always_inline: each instantiation takes its caller's ISA.
+template <typename V, typename Lowering>
+[[gnu::always_inline]] inline void hit_pass(const Lowering& lowering,
+                                            std::size_t num_users,
+                                            const std::size_t* link_offsets,
+                                            const double* inv_blocked,
+                                            double total_mass, double* ratios) {
+  constexpr std::size_t kWidth = sizeof(V) / sizeof(double);
+  constexpr std::size_t kVecs = kLaneBlock / kWidth;
+  // x - V{} broadcasts x exactly (x - +0.0 == x, -0.0 included) and folds
+  // to a plain broadcast, where V{} + x would keep a scalar add.
+  const V inf = kInf - V{};
+  V mass[kVecs] = {};
+  for (std::size_t k = 0; k < num_users; ++k) {
+    const std::uint32_t row_begin = lowering.user_offsets[k];
+    const std::uint32_t row_end = lowering.user_offsets[k + 1];
+    if (row_begin == row_end) continue;
+    V best[kVecs];
+    for (std::size_t q = 0; q < kVecs; ++q) best[q] = inf;
+    for (std::size_t l = link_offsets[k]; l < link_offsets[k + 1]; ++l) {
+      const double* v = inv_blocked + l * kLaneBlock;
+      for (std::size_t q = 0; q < kVecs; ++q) {
+        V x;
+        __builtin_memcpy(&x, v + q * kWidth, sizeof x);
+        best[q] = x < best[q] ? x : best[q];
+      }
+    }
+    for (std::uint32_t a = row_begin; a < row_end; ++a) {
+      V holder[kVecs];
+      for (std::size_t q = 0; q < kVecs; ++q) holder[q] = inf;
+      for (std::uint32_t h = lowering.holder_offsets[a];
+           h < lowering.holder_offsets[a + 1]; ++h) {
+        const double* v =
+            inv_blocked + std::size_t{lowering.holder_links[h]} * kLaneBlock;
+        for (std::size_t q = 0; q < kVecs; ++q) {
+          V x;
+          __builtin_memcpy(&x, v + q * kWidth, sizeof x);
+          holder[q] = x < holder[q] ? x : holder[q];
+        }
+      }
+      const V direct = lowering.theta_direct[a] - V{};
+      const V relay = lowering.theta_relay[a] - V{};
+      const V p = lowering.probability[a] - V{};
+      for (std::size_t q = 0; q < kVecs; ++q) {
+        // Eq. 4 over the holders, Eq. 5 through the best covering link.
+        mass[q] += (holder[q] <= direct) | (best[q] <= relay) ? p : V{};
+      }
+    }
+  }
+  for (std::size_t j = 0; j < kLaneBlock; ++j) {
+    ratios[j] = total_mass > 0 ? mass[j / kWidth][j % kWidth] / total_mass : 0.0;
+  }
 }
 
-inline Vec2d min2(Vec2d a, Vec2d b) noexcept { return a < b ? a : b; }
+#if defined(__x86_64__)
+template <typename Lowering>
+__attribute__((target("avx2"))) void hit_pass_avx2(
+    const Lowering& lowering, std::size_t num_users, const std::size_t* link_offsets,
+    const double* inv_blocked, double total_mass, double* ratios) {
+  hit_pass<Vec4d>(lowering, num_users, link_offsets, inv_blocked, total_mass, ratios);
+}
+#endif
 
 // The largest finite x >= 0 with pass(x), or -1 when pass(0) fails, for a
 // predicate monotone (non-increasing) in x. Non-negative doubles order like
@@ -217,50 +277,15 @@ const EvalPlan::PlacementLowering& EvalPlan::lowered(
 
 void EvalPlan::hit_ratios(const PlacementLowering& lowering,
                           const double* inv_blocked, double* ratios) const {
-  // Lane j reads inv_blocked[link * kLaneBlock + j]; one walk over the rows
-  // serves kLaneBlock realizations. Per user the vertical min over the link
-  // span gives each lane's best covering link (no horizontal reduction);
-  // per row the holder min and the two threshold compares decide every lane
-  // at once, and the probability is added under the hit mask. A missed lane
-  // adds +0.0, which leaves its non-negative mass bit-unchanged, so each
-  // lane's mass is the same row-order sum as a per-realization walk.
-  Vec2d mass[kVecs] = {};
-  const Vec2d inf2 = {kInf, kInf};
-  for (UserId k = 0; k < num_users_; ++k) {
-    const std::uint32_t row_begin = lowering.user_offsets[k];
-    const std::uint32_t row_end = lowering.user_offsets[k + 1];
-    if (row_begin == row_end) continue;
-    Vec2d best[kVecs] = {inf2, inf2, inf2, inf2};
-    for (std::size_t l = link_offsets_[k]; l < link_offsets_[k + 1]; ++l) {
-      const double* v = inv_blocked + l * kLaneBlock;
-      for (std::size_t q = 0; q < kVecs; ++q) best[q] = min2(load2(v + 2 * q), best[q]);
-    }
-    for (std::uint32_t a = row_begin; a < row_end; ++a) {
-      Vec2d holder[kVecs] = {inf2, inf2, inf2, inf2};
-      for (std::uint32_t h = lowering.holder_offsets[a];
-           h < lowering.holder_offsets[a + 1]; ++h) {
-        const double* v =
-            inv_blocked + std::size_t{lowering.holder_links[h]} * kLaneBlock;
-        for (std::size_t q = 0; q < kVecs; ++q) {
-          holder[q] = min2(load2(v + 2 * q), holder[q]);
-        }
-      }
-      const double theta_direct = lowering.theta_direct[a];
-      const double theta_relay = lowering.theta_relay[a];
-      const double p = lowering.probability[a];
-      const Vec2d direct2 = {theta_direct, theta_direct};
-      const Vec2d relay2 = {theta_relay, theta_relay};
-      const Vec2d p2 = {p, p};
-      for (std::size_t q = 0; q < kVecs; ++q) {
-        // Eq. 4 over the holders, Eq. 5 through the best covering link.
-        const Mask2 hit = (holder[q] <= direct2) | (best[q] <= relay2);
-        mass[q] += hit ? p2 : Vec2d{};
-      }
-    }
+#if defined(__x86_64__)
+  if (support::simd::active_backend() == support::simd::Backend::kAvx2) {
+    hit_pass_avx2(lowering, num_users_, link_offsets_.data(), inv_blocked,
+                  total_mass_, ratios);
+    return;
   }
-  for (std::size_t j = 0; j < kLaneBlock; ++j) {
-    ratios[j] = total_mass_ > 0 ? mass[j / 2][j % 2] / total_mass_ : 0.0;
-  }
+#endif
+  hit_pass<Vec2d>(lowering, num_users_, link_offsets_.data(), inv_blocked,
+                  total_mass_, ratios);
 }
 
 double EvalPlan::expected_hit_ratio(const core::PlacementSolution& placement) const {
@@ -289,47 +314,34 @@ support::Summary EvalPlan::fading_hit_ratio(const core::PlacementSolution& place
   const std::size_t links = num_links();
   std::vector<double> ratios(realizations);
 
-  // Three phases per realization, all lane-parallel through the active
-  // backend: gains, the gain -> inverse-rate transform, the hit pass. The
-  // per-realization gain stream is counter-based on
-  // rng.stream_key(kFadingStream, r) — every lane derives its own draw
-  // from (key, link), so generation has no sequential engine to unroll.
-  // Realizations run in blocks of kLaneBlock: each lane's gains and
-  // inverse rates come from the exact per-realization kernels (staged per
-  // lane, then interleaved into the vertical layout), so the blocked hit
-  // pass sees bit-identical inputs and any block/chunk grouping — hence
+  // Three passes per block of kLaneBlock realizations, all through the
+  // active backend: gains, the in-place gain -> inverse-rate transform, the
+  // hit pass. Lane j of a block is realization r + j, whose gain stream is
+  // counter-based on rng.stream_key(kFadingStream, r + j): every element
+  // derives its draw from (key, link) alone, with the same arithmetic in
+  // any lane, so each lane's inverse rates are bit-identical to the
+  // realization's own lanes = 1 arrays and any block/chunk grouping — hence
   // any thread count — yields identical ratios. A chunk's tail block is
-  // padded with copies of its first lane and the padding ratios dropped.
+  // padded with the key of its first lane and the padding ratios dropped.
   // Static chunking keeps each worker on one contiguous realization range,
   // so lane blocks are only padded at chunk tails.
   const PlacementLowering& lowering = lowered(placement);
   const support::simd::Ops& ops = support::simd::ops();
   support::parallel_for_chunks(
       realizations, threads, [&](std::size_t begin, std::size_t end) {
-        support::WorkerArena& arena = support::this_worker_arena();
-        std::vector<double>& gains = arena.doubles(kArenaGains, links);
-        std::vector<double>& staging =
-            arena.doubles(kArenaStaging, kLaneBlock * links);
-        std::vector<double>& blocked =
-            arena.doubles(kArenaBlocked, kLaneBlock * links);
+        std::vector<double>& blocked = support::this_worker_arena().doubles(
+            kArenaBlocked, kLaneBlock * links);
         const double* bw = link_bandwidth_hz_.data();
         const double* snr = link_mean_snr_.data();
         for (std::size_t r = begin; r < end; r += kLaneBlock) {
           const std::size_t lanes = std::min(kLaneBlock, end - r);
-          const double* lane_src[kLaneBlock];
+          std::uint64_t keys[kLaneBlock];
           for (std::size_t j = 0; j < kLaneBlock; ++j) {
-            lane_src[j] = staging.data() + (j < lanes ? j : 0) * links;
+            keys[j] = rng.stream_key(kFadingStream, r + (j < lanes ? j : 0));
           }
-          for (std::size_t j = 0; j < lanes; ++j) {
-            wireless::sample_rayleigh_power_gains(
-                rng.stream_key(kFadingStream, r + j), links, gains.data());
-            ops.inv_rate_from_gains(bw, snr, gains.data(), links,
-                                    staging.data() + j * links);
-          }
-          for (std::size_t l = 0; l < links; ++l) {
-            double* dst = blocked.data() + l * kLaneBlock;
-            for (std::size_t j = 0; j < kLaneBlock; ++j) dst[j] = lane_src[j][l];
-          }
+          ops.rayleigh_gains(keys, kLaneBlock, links, blocked.data());
+          ops.inv_rate_from_gains(bw, snr, blocked.data(), kLaneBlock, links,
+                                  blocked.data());
           double block_ratios[kLaneBlock];
           hit_ratios(lowering, blocked.data(), block_ratios);
           std::copy_n(block_ratios, lanes, &ratios[r]);

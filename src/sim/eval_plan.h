@@ -51,21 +51,25 @@
 // a row hits iff min over its holder links <= theta_direct (Eq. 4) or the
 // user's best covering link <= theta_relay (Eq. 5) — one compare each, no
 // per-lane branch, no division, and the same decision as the latency
-// arithmetic bit for bit. Fading derives each link's gain from
-// (realization key, link) alone, so links fill lane-parallel and the
-// integer stream is identical on every SIMD backend; the gain ->
-// inverse-rate transform runs through the runtime-dispatched backend of
-// support/simd.h, and the hit pass walks the rows once per eight
-// realizations over a vertically interleaved inverse-rate block. The hit
-// decision is bit-exact across backends given identical inverse rates;
-// summaries may differ across backends by transcendental rounding only (see
-// simd.h's contract), and the scalar backend (simd::force_backend(kScalar))
-// is the cross-machine reference.
+// arithmetic bit for bit. Fading runs in blocks of 16 realizations held in
+// one link-major block [link * 16 + lane]: the runtime-dispatched backend of
+// support/simd.h draws each (link, lane) gain from (realization key, link)
+// alone straight into the block (the integer stream is identical on every
+// SIMD backend) and transforms it in place to an inverse rate, and the hit
+// pass walks the rows once per block. The hit pass is one template over
+// the GCC vector type, instantiated at the baseline ISA (8 x two-lane
+// Vec2d) and inside an AVX2 target function (4 x four-lane Vec4d), and
+// picked by simd::active_backend(). Every lane op in both is the same IEEE
+// min, compare or masked add, so the hit decision is bit-exact across
+// instantiations and backends given identical inverse rates; summaries may
+// differ across backends by transcendental rounding only (see simd.h's
+// contract), and the scalar backend (simd::force_backend(kScalar)) is the
+// cross-machine reference.
 //
-// Scratch buffers live in the per-thread WorkerArena (support/parallel.h) —
-// reused across realizations, shrunk when a small scenario follows a huge
-// one. The link arrays are plain vectors: the fading pass shards
-// realizations, so every worker streams every link.
+// Scratch: one 16 x links block per thread in the WorkerArena
+// (support/parallel.h) — reused across blocks, shrunk when a small scenario
+// follows a huge one. The link arrays are plain vectors: the fading pass
+// shards realizations, so every worker streams every link.
 #pragma once
 
 #include <cstdint>
@@ -178,10 +182,11 @@ class EvalPlan {
   [[nodiscard]] const PlacementLowering& lowered(
       const core::PlacementSolution& placement) const;
 
-  /// The hit pass: kLaneBlock (8) realizations per row walk over vertically
-  /// interleaved inverse rates (inv_blocked[link * 8 + lane]). Writes
-  /// ratios[0..8); each lane is the hit ratio of that lane's own
-  /// inverse-rate array.
+  /// The hit pass: kLaneBlock (16) realizations per row walk over
+  /// link-major inverse rates (inv_blocked[link * 16 + lane]), on the AVX2
+  /// instantiation when it is the active backend and the baseline one
+  /// otherwise. Writes ratios[0..16); each lane is the hit ratio of that
+  /// lane's own inverse-rate array.
   void hit_ratios(const PlacementLowering& lowering, const double* inv_blocked,
                   double* ratios) const;
 

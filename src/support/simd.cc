@@ -30,16 +30,23 @@ inline double uniform_from_counter(std::uint64_t key, std::uint64_t counter) {
   return 2.0 - w;
 }
 
-void scalar_rayleigh_gains(std::uint64_t key, std::size_t n, double* gains) {
+void scalar_rayleigh_gains(const std::uint64_t* keys, std::size_t lanes,
+                           std::size_t n, double* gains) {
   for (std::size_t l = 0; l < n; ++l) {
-    gains[l] = -std::log(uniform_from_counter(key, l));
+    for (std::size_t j = 0; j < lanes; ++j) {
+      gains[l * lanes + j] = -std::log(uniform_from_counter(keys[j], l));
+    }
   }
 }
 
 void scalar_inv_rate_from_gains(const double* bw, const double* snr,
-                                const double* gains, std::size_t n, double* inv) {
+                                const double* gains, std::size_t lanes,
+                                std::size_t n, double* inv) {
   for (std::size_t l = 0; l < n; ++l) {
-    inv[l] = 1.0 / (bw[l] * std::log2(1.0 + snr[l] * gains[l]));
+    for (std::size_t j = 0; j < lanes; ++j) {
+      const std::size_t i = l * lanes + j;
+      inv[i] = 1.0 / (bw[l] * std::log2(1.0 + snr[l] * gains[i]));
+    }
   }
 }
 

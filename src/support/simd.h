@@ -1,19 +1,26 @@
 // SIMD layer for the Monte-Carlo fading kernels.
 //
-// Every fading figure bottoms out in the same three array passes per
-// realization (sim/eval_plan.h): sample a Rayleigh power gain per link,
-// transform gains to inverse rates 1/(B·log2(1+SNR·g)), and the hit pass
-// (per-user / per-holder min over the link spans, then one threshold
-// compare per request row for Eq. 4/5). This header wraps the first two
-// passes, whose transcendentals are where backends differ, behind one table
-// of entry points (`Ops`) with two interchangeable backends; the hit pass
-// is backend-free GCC vector code inside EvalPlan:
+// Every fading figure bottoms out in the same three array passes per block
+// of realizations (sim/eval_plan.h): sample a Rayleigh power gain per
+// (link, realization), transform the gains in place to inverse rates
+// 1/(B·log2(1+SNR·g)), and the hit pass (per-user / per-holder min over the
+// link spans, then one threshold compare per request row for Eq. 4/5). This
+// header wraps the first two passes, whose transcendentals are where
+// backends differ, behind one table of entry points (`Ops`) with two
+// interchangeable backends. Both passes work on a link-major, lane-blocked
+// layout: element [l * lanes + j] belongs to link l and lane (realization
+// key) j, so a block of realizations lands directly in the layout the hit
+// pass reads, and lanes = 1 is one realization's per-link array. The hit
+// pass is GCC vector code inside EvalPlan, instantiated at the baseline ISA
+// and under AVX2 and picked by active_backend():
 //
 //   * kScalar  — plain loops over std::log/std::log2; always available, the
 //     semantic reference, and the fallback on CPUs without AVX2;
 //   * kAvx2    — 4-wide AVX2(+FMA) x86-64 kernels (simd_avx2.cc), compiled
 //     via function-level target attributes so the rest of the library keeps
 //     its baseline ISA; selected at runtime only when cpuid reports AVX2.
+//     When lanes is a multiple of 4 they vectorize across 4 lanes of one
+//     link, otherwise across 4 links of one lane.
 //
 // x86-64 builds compile the AVX2 backend; other hosts compile only the
 // scalar one. Runtime dispatch: ops() returns
@@ -22,15 +29,18 @@
 //
 // Numerical contract (locked by tests/simd_test.cc):
 //
-//   * rayleigh_gains derives a uniform u(l) in (0, 1] *bitwise identically*
-//     on every backend — the integer path is mix64(key + (l+1)·kGamma) with
-//     the top 52 bits mapped through the exponent trick u = 2 - (1.m); only
-//     the final -ln(u) is backend math. Gains therefore differ across
-//     backends by transcendental rounding only: the vector ln/log2 are
-//     argument-reduced polynomial kernels accurate to <= kMaxUlpError ULP
-//     of the correctly-rounded result (libm's own std::log/std::log2 are
-//     faithfully rounded, so backend-vs-scalar element differences are
-//     bounded by kMaxUlpError + 1 ULP).
+//   * rayleigh_gains derives a uniform u(key, l) in (0, 1] *bitwise
+//     identically* on every backend and for every lane count — the integer
+//     path is mix64(keys[j] + (l+1)·kGamma) with the top 52 bits mapped
+//     through the exponent trick u = 2 - (1.m); only the final -ln(u) is
+//     backend math. Each element's arithmetic does not depend on its lane
+//     position, so a blocked call equals per-key lanes = 1 calls bit for
+//     bit on each backend (and so does inv_rate_from_gains). Gains
+//     therefore differ across backends by transcendental rounding only:
+//     the vector ln/log2 are argument-reduced polynomial kernels accurate
+//     to <= kMaxUlpError ULP of the correctly-rounded result (libm's own
+//     std::log/std::log2 are faithfully rounded, so backend-vs-scalar
+//     element differences are bounded by kMaxUlpError + 1 ULP).
 //   * inv_rate_from_gains: the AVX2 backend contracts 1+snr·g into an FMA,
 //     so y itself may differ from the scalar two-rounding result by 1 ULP;
 //     log2 amplifies that when y is near 1 (log2(y) -> 0). The guarantee is
@@ -88,20 +98,25 @@ void force_backend(Backend backend);
 /// Drops the force_backend override (back to auto-detection).
 void clear_forced_backend() noexcept;
 
-/// Entry points of one backend. All functions tolerate n == 0 and make no
-/// alignment assumptions; outputs never alias inputs.
+/// Entry points of one backend, over n links x `lanes` (>= 1) lanes in the
+/// link-major layout [l * lanes + j]. All functions tolerate n == 0 and make
+/// no alignment assumptions.
 struct Ops {
-  /// gains[l] = -ln(u(key, l)) with u(key, l) in (0, 1] derived counter-based
-  /// as u = 2 - bit_cast<double>((mix64(key + (l+1)·kGamma) >> 12) | 1.0's
-  /// exponent) — i.e. i.i.d. Exp(1) Rayleigh power gains, lane-parallel and
-  /// independent of call order. The integer/u path is bit-identical on every
-  /// backend; only the ln rounding differs (see header contract).
-  void (*rayleigh_gains)(std::uint64_t key, std::size_t n, double* gains);
+  /// gains[l * lanes + j] = -ln(u(keys[j], l)) with u(key, l) in (0, 1]
+  /// derived counter-based as u = 2 - bit_cast<double>((mix64(key +
+  /// (l+1)·kGamma) >> 12) | 1.0's exponent) — i.e. i.i.d. Exp(1) Rayleigh
+  /// power gains, one realization per key, independent of call order and
+  /// lane position. The integer/u path is bit-identical on every backend;
+  /// only the ln rounding differs (see header contract).
+  void (*rayleigh_gains)(const std::uint64_t* keys, std::size_t lanes,
+                         std::size_t n, double* gains);
 
-  /// inv[l] = 1 / (bw[l] * log2(1 + snr[l] * gains[l])). Zero-bandwidth or
-  /// zero-SNR links fall out as +inf (1/0).
+  /// inv[l * lanes + j] = 1 / (bw[l] * log2(1 + snr[l] * gains[l * lanes + j])).
+  /// Zero-bandwidth or zero-SNR links fall out as +inf (1/0). inv may be
+  /// gains itself (an in-place transform), but no other overlap.
   void (*inv_rate_from_gains)(const double* bw, const double* snr,
-                              const double* gains, std::size_t n, double* inv);
+                              const double* gains, std::size_t lanes,
+                              std::size_t n, double* inv);
 };
 
 /// The active backend's entry points (runtime dispatch, resolved per call so

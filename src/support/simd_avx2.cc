@@ -1,7 +1,11 @@
 // AVX2(+FMA) backend of the SIMD layer (simd.h): 4-wide double kernels for
-// the fading hot path. Compiled via function-level target attributes so the
-// library's baseline ISA is untouched; simd.cc only dispatches here after a
-// cpuid check, so none of these functions executes on a non-AVX2 machine.
+// the fading hot path, across 4 lanes of one link when the lane count is a
+// multiple of 4 (EvalPlan's 16-realization blocks) and across 4 links of
+// one lane otherwise. Every element takes the same vector op sequence in
+// either layout, so the two agree bit for bit. Compiled via function-level
+// target attributes so the library's baseline ISA is untouched; simd.cc only
+// dispatches here after a cpuid check, so none of these functions executes
+// on a non-AVX2 machine.
 //
 // Numerics: the integer counter -> uniform path is exactly simd.cc's scalar
 // derivation (64-bit multiplies emulated with 32x32 pieces — AVX2 has no
@@ -15,7 +19,7 @@
 
 #include <immintrin.h>
 
-#include <cstring>
+#include <algorithm>
 
 namespace trimcaching::support::simd {
 
@@ -104,7 +108,7 @@ TRIMCACHING_AVX2 inline __m256d log2_pd(__m256d x) {
   return _mm256_fmadd_pd(ln_m, _mm256_set1_pd(kInvLn2), e);
 }
 
-// gains[i..i+4) for counter base c: bits = mix64(key + (c+1..c+4)*kGamma),
+// Four gains from four counters key + (l+1)*kGamma: bits = mix64(counter),
 // u = 2 - bit_cast<double>((bits >> 12) | 1.0exp), gain = -ln(u).
 TRIMCACHING_AVX2 inline __m256d gains_group(__m256i counters) {
   const __m256i bits = mix64_v(counters);
@@ -116,48 +120,91 @@ TRIMCACHING_AVX2 inline __m256d gains_group(__m256i counters) {
   return _mm256_sub_pd(_mm256_setzero_pd(), ln_u);
 }
 
-TRIMCACHING_AVX2 void avx2_rayleigh_gains(std::uint64_t key, std::size_t n,
-                                          double* gains) {
-  const __m256i step = _mm256_set1_epi64x(static_cast<long long>(4 * kGamma));
-  __m256i counters = _mm256_set_epi64x(
-      static_cast<long long>(key + 4 * kGamma), static_cast<long long>(key + 3 * kGamma),
-      static_cast<long long>(key + 2 * kGamma), static_cast<long long>(key + 1 * kGamma));
-  std::size_t l = 0;
-  for (; l + 4 <= n; l += 4) {
-    _mm256_storeu_pd(gains + l, gains_group(counters));
-    counters = _mm256_add_epi64(counters, step);
+// A group of 4 elements `stride` apart, the first `count` of them real:
+// one vector load/store, or a zero-padded gather/scatter through a buffer.
+TRIMCACHING_AVX2 inline __m256d load_group(const double* src, std::size_t stride,
+                                           std::size_t count) {
+  if (stride == 1 && count == 4) return _mm256_loadu_pd(src);
+  alignas(32) double tmp[4] = {0, 0, 0, 0};
+  for (std::size_t t = 0; t < count; ++t) tmp[t] = src[t * stride];
+  return _mm256_load_pd(tmp);
+}
+
+TRIMCACHING_AVX2 inline void store_group(double* dst, std::size_t stride,
+                                         std::size_t count, __m256d v) {
+  if (stride == 1 && count == 4) {
+    _mm256_storeu_pd(dst, v);
+    return;
   }
-  if (l < n) {  // tail: same vector math, partial store
-    alignas(32) double tmp[4];
-    _mm256_store_pd(tmp, gains_group(counters));
-    std::memcpy(gains + l, tmp, (n - l) * sizeof(double));
+  alignas(32) double tmp[4];
+  _mm256_store_pd(tmp, v);
+  for (std::size_t t = 0; t < count; ++t) dst[t * stride] = tmp[t];
+}
+
+TRIMCACHING_AVX2 void avx2_rayleigh_gains(const std::uint64_t* keys,
+                                          std::size_t lanes, std::size_t n,
+                                          double* gains) {
+  const __m256i gamma = _mm256_set1_epi64x(static_cast<long long>(kGamma));
+  if (lanes % 4 == 0) {
+    // Across 4 lanes of one link: counters keys[j..j+4) + (l+1)·kGamma.
+    __m256i offset = gamma;
+    for (std::size_t l = 0; l < n; ++l) {
+      for (std::size_t j = 0; j < lanes; j += 4) {
+        const __m256i counters = _mm256_add_epi64(
+            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(keys + j)), offset);
+        _mm256_storeu_pd(gains + l * lanes + j, gains_group(counters));
+      }
+      offset = _mm256_add_epi64(offset, gamma);
+    }
+    return;
+  }
+  // Across 4 links of one lane: counters key + (l+1..l+4)·kGamma.
+  const __m256i step = _mm256_set1_epi64x(static_cast<long long>(4 * kGamma));
+  for (std::size_t j = 0; j < lanes; ++j) {
+    const std::uint64_t key = keys[j];
+    __m256i counters = _mm256_set_epi64x(
+        static_cast<long long>(key + 4 * kGamma), static_cast<long long>(key + 3 * kGamma),
+        static_cast<long long>(key + 2 * kGamma), static_cast<long long>(key + 1 * kGamma));
+    for (std::size_t l = 0; l < n; l += 4) {
+      store_group(gains + l * lanes + j, lanes, std::min<std::size_t>(4, n - l),
+                  gains_group(counters));
+      counters = _mm256_add_epi64(counters, step);
+    }
   }
 }
 
-TRIMCACHING_AVX2 void avx2_inv_rate_from_gains(const double* bw, const double* snr,
-                                               const double* gains, std::size_t n,
-                                               double* inv) {
+TRIMCACHING_AVX2 inline __m256d inv_rate_group(__m256d bw, __m256d snr,
+                                               __m256d gains) {
   const __m256d one = _mm256_set1_pd(1.0);
-  std::size_t l = 0;
-  for (; l + 4 <= n; l += 4) {
-    const __m256d y = _mm256_fmadd_pd(_mm256_loadu_pd(snr + l),
-                                      _mm256_loadu_pd(gains + l), one);
-    const __m256d rate = _mm256_mul_pd(_mm256_loadu_pd(bw + l), log2_pd(y));
-    _mm256_storeu_pd(inv + l, _mm256_div_pd(one, rate));
+  const __m256d y = _mm256_fmadd_pd(snr, gains, one);
+  return _mm256_div_pd(one, _mm256_mul_pd(bw, log2_pd(y)));
+}
+
+TRIMCACHING_AVX2 void avx2_inv_rate_from_gains(const double* bw, const double* snr,
+                                               const double* gains, std::size_t lanes,
+                                               std::size_t n, double* inv) {
+  if (lanes % 4 == 0) {
+    // Across 4 lanes of one link, the link's bandwidth and SNR broadcast.
+    for (std::size_t l = 0; l < n; ++l) {
+      const __m256d bw_l = _mm256_set1_pd(bw[l]);
+      const __m256d snr_l = _mm256_set1_pd(snr[l]);
+      for (std::size_t i = l * lanes; i < (l + 1) * lanes; i += 4) {
+        _mm256_storeu_pd(inv + i, inv_rate_group(bw_l, snr_l, _mm256_loadu_pd(gains + i)));
+      }
+    }
+    return;
   }
-  if (l < n) {  // tail: pad into a 4-lane group, partial store
-    alignas(32) double tb[4] = {0, 0, 0, 0};
-    alignas(32) double ts[4] = {0, 0, 0, 0};
-    alignas(32) double tg[4] = {0, 0, 0, 0};
-    std::memcpy(tb, bw + l, (n - l) * sizeof(double));
-    std::memcpy(ts, snr + l, (n - l) * sizeof(double));
-    std::memcpy(tg, gains + l, (n - l) * sizeof(double));
-    const __m256d y =
-        _mm256_fmadd_pd(_mm256_load_pd(ts), _mm256_load_pd(tg), one);
-    const __m256d rate = _mm256_mul_pd(_mm256_load_pd(tb), log2_pd(y));
-    alignas(32) double tmp[4];
-    _mm256_store_pd(tmp, _mm256_div_pd(one, rate));
-    std::memcpy(inv + l, tmp, (n - l) * sizeof(double));
+  // Across 4 links of one lane; zero padding past n gives 1/0 lanes that
+  // are never stored.
+  for (std::size_t j = 0; j < lanes; ++j) {
+    for (std::size_t l = 0; l < n; l += 4) {
+      const std::size_t count = std::min<std::size_t>(4, n - l);
+      const std::size_t i = l * lanes + j;
+      store_group(inv + i, lanes, count,
+                  inv_rate_group(load_group(bw + l, 1, count),
+                                 load_group(snr + l, 1, count),
+                                 load_group(gains + i, lanes, count)));
+    }
   }
 }
 

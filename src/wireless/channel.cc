@@ -43,7 +43,7 @@ double shannon_rate(const ChannelParams& params, double bandwidth_hz,
 double sample_rayleigh_power_gain(support::Rng& rng) { return rng.exponential(1.0); }
 
 void sample_rayleigh_power_gains(std::uint64_t key, std::size_t n, double* gains) {
-  support::simd::ops().rayleigh_gains(key, n, gains);
+  support::simd::ops().rayleigh_gains(&key, 1, n, gains);
 }
 
 }  // namespace trimcaching::wireless

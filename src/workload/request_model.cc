@@ -10,7 +10,9 @@
 namespace trimcaching::workload {
 
 void RequestConfig::validate() const {
-  if (zipf_exponent < 0) throw std::invalid_argument("RequestConfig: negative Zipf exponent");
+  if (!(zipf_exponent >= 0) || !std::isfinite(zipf_exponent)) {  // also rejects NaN
+    throw std::invalid_argument("RequestConfig: zipf_exponent must be finite and >= 0");
+  }
   if (deadline_min_s <= 0 || deadline_min_s > deadline_max_s) {
     throw std::invalid_argument("RequestConfig: bad deadline range");
   }

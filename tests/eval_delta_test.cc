@@ -436,7 +436,8 @@ support::Summary oracle_fading_hit_ratio(const Scenario& scenario,
                                           gains.data());
     support::simd::ops().inv_rate_from_gains(topology.link_bandwidth_hz().data(),
                                              topology.link_mean_snr().data(),
-                                             gains.data(), links, inv_rate.data());
+                                             gains.data(), 1, links,
+                                             inv_rate.data());
     double hit_mass = 0.0;
     for (UserId k = 0; k < topology.num_users(); ++k) {
       double best_inv = std::numeric_limits<double>::infinity();
@@ -470,7 +471,7 @@ support::Summary oracle_fading_hit_ratio(const Scenario& scenario,
 }
 
 TEST(FadingOracle, EvalPlanBitIdenticalOnEveryBackendAndThreadCount) {
-  // Realization counts mix whole 8-lane blocks and padded tails; threads 3
+  // Realization counts mix whole 16-lane blocks and padded tails; threads 3
   // and 4 reshuffle the chunk boundaries across them.
   for (std::uint64_t seed = 0; seed < 12; ++seed) {
     Rng rng(seed);
@@ -484,7 +485,7 @@ TEST(FadingOracle, EvalPlanBitIdenticalOnEveryBackendAndThreadCount) {
     const Rng fading(seed + 100);
     for (const bool scalar : {true, false}) {
       if (scalar) support::simd::force_backend(support::simd::Backend::kScalar);
-      for (const std::size_t realizations : {1u, 7u, 8u, 9u, 16u, 23u, 41u}) {
+      for (const std::size_t realizations : {1u, 15u, 16u, 17u, 31u, 33u, 41u}) {
         const support::Summary oracle =
             oracle_fading_hit_ratio(scenario, placement, realizations, fading);
         for (const std::size_t threads : {1u, 3u, 4u}) {

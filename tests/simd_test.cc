@@ -8,6 +8,9 @@
 //   * inv_rate_from_gains: backend-vs-scalar differences stay within the
 //     documented relative bound kMaxRelError, including the zero-bandwidth
 //     +inf guard rows;
+//   * the lane-blocked layout: on each backend a 16-key call equals the 16
+//     per-key lanes = 1 calls bit for bit, and the in-place transform
+//     equals the out-of-place one;
 //   * runtime dispatch: the active backend is available, force_backend
 //     overrides it (and rejects unavailable backends), clear_forced_backend
 //     restores auto-detection;
@@ -81,8 +84,8 @@ TEST(SimdBackend, RayleighGainsMatchScalarWithinUlpBound) {
       std::vector<double> got(n + 8, -7.0);
       std::vector<double> want(n + 8, -7.0);
       const std::uint64_t key = 0x1234abcdull * (n + 1);
-      ops.rayleigh_gains(key, n, got.data());
-      scalar.rayleigh_gains(key, n, want.data());
+      ops.rayleigh_gains(&key, 1, n, got.data());
+      scalar.rayleigh_gains(&key, 1, n, want.data());
       for (std::size_t l = 0; l < n; ++l) {
         ASSERT_GE(want[l], 0.0);
         ASSERT_LE(ulp_distance(got[l], want[l]),
@@ -110,8 +113,9 @@ TEST(SimdBackend, InvRateMatchesScalarWithinRelativeBound) {
         gains[l] = -std::log(rng.uniform(1e-12, 1.0));
       }
       std::vector<double> got(n + 8, -7.0), want(n + 8, -7.0);
-      ops.inv_rate_from_gains(bw.data(), snr.data(), gains.data(), n, got.data());
-      scalar.inv_rate_from_gains(bw.data(), snr.data(), gains.data(), n,
+      ops.inv_rate_from_gains(bw.data(), snr.data(), gains.data(), 1, n,
+                              got.data());
+      scalar.inv_rate_from_gains(bw.data(), snr.data(), gains.data(), 1, n,
                                  want.data());
       for (std::size_t l = 0; l < n; ++l) {
         if (std::isinf(want[l])) {
@@ -124,6 +128,52 @@ TEST(SimdBackend, InvRateMatchesScalarWithinRelativeBound) {
       }
       for (std::size_t l = n; l < n + 8; ++l) {
         ASSERT_EQ(got[l], -7.0) << "out-of-bounds write at " << l;
+      }
+    }
+  }
+}
+
+TEST(SimdBackend, LaneBlockedCallsEqualPerKeyCallsBitForBit) {
+  // EvalPlan's layout: 16 keys, element [l * 16 + j] is key j's link l. On
+  // each backend it must hold exactly key j's own lanes = 1 arrays, for
+  // link counts on and off the 4-wide grid, and the in-place transform must
+  // equal the out-of-place one.
+  constexpr std::size_t kLanes = 16;
+  std::uint64_t keys[kLanes];
+  for (std::size_t j = 0; j < kLanes; ++j) keys[j] = support::mix64(0xb10cull + j);
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  for (const simd::Backend backend : available_backends()) {
+    const simd::Ops& ops = simd::ops(backend);
+    for (const std::size_t n : {1ull, 3ull, 4ull, 5ull, 13ull, 64ull, 67ull}) {
+      Rng rng(n * 7 + 3);
+      std::vector<double> bw(n), snr(n);
+      for (std::size_t l = 0; l < n; ++l) {
+        bw[l] = l % 5 == 2 ? 0.0 : rng.uniform(1e6, 4e7);
+        snr[l] = rng.uniform(0.01, 100.0);
+      }
+      std::vector<double> gains(kLanes * n + 8, -7.0);
+      ops.rayleigh_gains(keys, kLanes, n, gains.data());
+      std::vector<double> inv(kLanes * n);
+      ops.inv_rate_from_gains(bw.data(), snr.data(), gains.data(), kLanes, n,
+                              inv.data());
+      std::vector<double> in_place(gains.begin(), gains.begin() + kLanes * n);
+      ops.inv_rate_from_gains(bw.data(), snr.data(), in_place.data(), kLanes, n,
+                              in_place.data());
+      for (std::size_t j = 0; j < kLanes; ++j) {
+        std::vector<double> lane_gains(n), lane_inv(n);
+        ops.rayleigh_gains(&keys[j], 1, n, lane_gains.data());
+        ops.inv_rate_from_gains(bw.data(), snr.data(), lane_gains.data(), 1, n,
+                                lane_inv.data());
+        for (std::size_t l = 0; l < n; ++l) {
+          SCOPED_TRACE(::testing::Message() << simd::backend_name(backend) << " n="
+                                            << n << " lane=" << j << " link=" << l);
+          ASSERT_EQ(bits(gains[l * kLanes + j]), bits(lane_gains[l]));
+          ASSERT_EQ(bits(inv[l * kLanes + j]), bits(lane_inv[l]));
+          ASSERT_EQ(bits(in_place[l * kLanes + j]), bits(lane_inv[l]));
+        }
+      }
+      for (std::size_t i = kLanes * n; i < kLanes * n + 8; ++i) {
+        ASSERT_EQ(gains[i], -7.0) << "out-of-bounds write at " << i;
       }
     }
   }
@@ -159,7 +209,7 @@ TEST(SimdDispatch, ChannelBatchSamplerFollowsDispatch) {
   std::vector<double> via_channel(kN), via_ops(kN);
   simd::force_backend(simd::Backend::kScalar);
   wireless::sample_rayleigh_power_gains(key, kN, via_channel.data());
-  simd::ops(simd::Backend::kScalar).rayleigh_gains(key, kN, via_ops.data());
+  simd::ops(simd::Backend::kScalar).rayleigh_gains(&key, 1, kN, via_ops.data());
   simd::clear_forced_backend();
   for (std::size_t l = 0; l < kN; ++l) {
     ASSERT_EQ(std::bit_cast<std::uint64_t>(via_channel[l]),
@@ -209,9 +259,9 @@ void expect_same_summary(const support::Summary& a, const support::Summary& b) {
 
 TEST(SimdFadingKernel, ThreadAndLaneBlockInvariant) {
   // Realization counts chosen to hit single-lane, tail-only, whole-block and
-  // mixed groupings of the 8-lane blocked hit pass; thread counts reshuffle
-  // the chunk boundaries (and with them where the padded tails fall). All
-  // must be bit-identical.
+  // mixed groupings of the 16-lane blocked pass; thread counts reshuffle the
+  // chunk boundaries (and with them where the padded tails fall). All must
+  // be bit-identical.
   for (std::uint64_t seed = 0; seed < 10; ++seed) {
     Rng rng(seed);
     const sim::Scenario scenario = sim::build_scenario(small_config(seed), rng);
@@ -220,7 +270,7 @@ TEST(SimdFadingKernel, ThreadAndLaneBlockInvariant) {
     const auto placement = gen_placement(scenario, rng);
     const Rng fading(seed * 17 + 1);
     for (const std::size_t realizations :
-         {1ull, 7ull, 8ull, 9ull, 16ull, 23ull, 41ull}) {
+         {1ull, 15ull, 16ull, 17ull, 31ull, 33ull, 41ull}) {
       const auto serial = plan.fading_hit_ratio(placement, realizations, fading,
                                                 1);
       for (const std::size_t threads : {3ull, 4ull}) {

@@ -134,6 +134,18 @@ TEST(RequestModel, InvalidConfigRejected) {
   EXPECT_THROW((void)RequestModel::generate(3, 30, config, rng), std::invalid_argument);
   EXPECT_THROW((void)RequestModel::generate(0, 30, RequestConfig{}, rng),
                std::invalid_argument);
+  // A NaN exponent used to pass the `< 0` check and reach the solvers as NaN
+  // request probabilities; every non-finite or negative one names the field.
+  for (const double exponent : {std::nan(""), -1.0, HUGE_VAL}) {
+    config = RequestConfig{};
+    config.zipf_exponent = exponent;
+    try {
+      (void)RequestModel::generate(3, 30, config, rng);
+      ADD_FAILURE() << "zipf_exponent " << exponent << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("zipf_exponent"), std::string::npos) << e.what();
+    }
+  }
 }
 
 TEST(RequestModel, OutOfRangeAccessThrows) {

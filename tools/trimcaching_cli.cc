@@ -236,7 +236,7 @@ int main(int argc, char** argv) {
         support::gigabytes(nonnegative_knob(options, "capacity_gb", 1.0, 1e10));
     config.library_size = options.get_size("models", 0);
     config.requests.models_per_user = options.get_size("requested", 30);
-    config.requests.zipf_exponent = options.get_double("zipf", 0.8);
+    config.requests.zipf_exponent = nonnegative_knob(options, "zipf", 0.8);
     const double compute = nonnegative_knob(options, "compute", 0.0);  // 0 = unlimited
     if (compute > 0) config.compute_capacity = compute;
     config.requests.infer_cost_scale = nonnegative_knob(options, "infer_cost", 1.0);
